@@ -4,7 +4,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke bench bench-smoke bench-fanout profile
+.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke bench bench-smoke bench-fanout perfbench-smoke profile
 
 # The default invocation: the fast deterministic suite + executable docs.
 test: unit docs-check
@@ -78,3 +78,10 @@ profile:
 # to gate CI on.  The emitted BENCH_*.json files are CI artifacts.
 bench-smoke:
 	python tools/bench_smoke.py
+
+# A short run of the benchmark declared in BENCHMARK.json over all four
+# workloads.  It exits 1 only when one of the benchmark's own correctness
+# checks fails (samples against a reference replay of the stream); the
+# timings it prints are never gated.
+perfbench-smoke:
+	python3 perfbench/run.py --all --seed 1 --seconds 3 --trace 0

@@ -1,13 +1,19 @@
 """Shared configuration and helpers for the benchmark suite.
 
 Every benchmark reproduces one figure or table of the paper's Section 6 at a
-scale a pure-Python implementation can handle (see DESIGN.md for the
-substitutions).  Two entry points per module:
+scale a pure-Python implementation can handle (the scale knobs below; the
+synthetic stand-ins for the paper's datasets live in ``repro.workloads``).
+Two entry points per module:
 
-* ``test_*`` functions — collected by ``pytest benchmarks/ --benchmark-only``;
-  they run a representative configuration under ``pytest-benchmark``.
+* ``test_*`` functions — run a representative configuration under
+  ``pytest-benchmark``.  ``pytest.ini`` limits collection to ``tests/`` and
+  these files use the ``bench_`` prefix, so name them explicitly::
+
+      PYTHONPATH=src python -m pytest benchmarks/bench_fig*.py \
+          benchmarks/bench_ablation_*.py --benchmark-only
+
 * ``main()`` — prints the full table/series for the figure (reduced scale),
-  which is what EXPERIMENTS.md records.
+  e.g. ``PYTHONPATH=src python benchmarks/bench_fig06_update_time.py``.
 """
 
 from __future__ import annotations

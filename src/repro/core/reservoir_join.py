@@ -107,12 +107,28 @@ class ReservoirJoin:
             return
         self._insert_rewritten(relation, tuple(row))
 
-    def _insert_rewritten(self, relation: str, row: tuple) -> None:
+    def _insert_rewritten(self, relation: str, row: tuple) -> bool:
+        """Insert one (rewritten) row and sample its delta; ``False`` on a duplicate."""
         if not self.index.insert(relation, row):
             self.duplicates_ignored += 1
-            return
+            return False
         batch = self.index.delta_batch(relation, row)
         self.reservoir.process_batch(batch)
+        return True
+
+    def _absorb(self, relation: str, rows: List[tuple]) -> List[tuple]:
+        """Bulk-insert one relation group and sample its delta batches.
+
+        The shared step of :meth:`insert_batch` and :meth:`ingest_columnar`;
+        returns the new (non-duplicate) rows.
+        """
+        new_rows = self.index.insert_rows(relation, rows)
+        self.duplicates_ignored += len(rows) - len(new_rows)
+        tree = self.index.trees[relation]
+        self.reservoir.process_deferred_many(
+            tree.delta_batch_sizes(new_rows), tree.delta_batch, new_rows
+        )
+        return new_rows
 
     def insert_batch(self, items: Iterable) -> int:
         """Process a chunk of stream tuples through the batched fast path.
@@ -149,17 +165,7 @@ class ReservoirJoin:
         groups: Dict[str, List[tuple]] = {}
         for relation, row in pairs:
             groups.setdefault(relation, []).append(row)
-        inserted = 0
-        reservoir = self.reservoir
-        for relation, rows in groups.items():
-            new_rows = self.index.insert_rows(relation, rows)
-            self.duplicates_ignored += len(rows) - len(new_rows)
-            inserted += len(new_rows)
-            tree = self.index.trees[relation]
-            reservoir.process_deferred_many(
-                tree.delta_batch_sizes(new_rows), tree.delta_batch, new_rows
-            )
-        return inserted
+        return sum(len(self._absorb(relation, rows)) for relation, rows in groups.items())
 
     def ingest_columnar(self, chunk) -> int:
         """The columnar twin of :meth:`insert_batch`: absorb one chunk pivot.
@@ -184,18 +190,10 @@ class ReservoirJoin:
         if self._combiner is not None:
             return self.insert_batch(chunk.to_pairs())
         self.tuples_processed += len(chunk)
-        inserted = 0
-        reservoir = self.reservoir
-        for relation in chunk.relations:
-            rows = chunk.rows[relation]
-            new_rows = self.index.insert_rows(relation, rows)
-            self.duplicates_ignored += len(rows) - len(new_rows)
-            inserted += len(new_rows)
-            tree = self.index.trees[relation]
-            reservoir.process_deferred_many(
-                tree.delta_batch_sizes(new_rows), tree.delta_batch, new_rows
-            )
-        return inserted
+        return sum(
+            len(self._absorb(relation, chunk.rows[relation]))
+            for relation in chunk.relations
+        )
 
     def process(self, stream: Iterable[StreamTuple]) -> "ReservoirJoin":
         """Process a whole stream of :class:`StreamTuple`; returns ``self``."""

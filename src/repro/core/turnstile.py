@@ -47,10 +47,17 @@ live rows never pend — so the two states are mutually exclusive, and a
 double-delete of a live row applies once and pends once.  The reference
 semantics live in :func:`repro.relational.stream.surviving_rows`.
 
-Cost: a delete-run triggers one exact surviving-join count (``O(N)`` dynamic
-program) plus expected ``O(evicted)`` full-join draws.  With deletions the
-index's approximate counters can also shrink, which voids the insert-only
-amortised ``O(log N)`` update bound under adversarial oscillation across a
+Cost: the exact surviving count ``|Q'|`` is kept up to date, never
+recounted.  Every applied insert or delete of ``t`` into ``R`` adds or
+subtracts ``|ΔQ(R, t)|``, an exact count over the index's join tree rooted
+at ``R`` (:func:`~repro.relational.join.delta_counter`) whose cost is
+proportional to the rows that join with ``t``.  A delete-run then costs an
+``O(k)`` filter of the reservoir against the run's deleted rows, hashable
+result identities only when a refill is needed, and expected
+``O(evicted)`` full-join draws.  Snapshots carry the count, so a restore
+is ``O(1)`` in the join size.  With deletions the index's approximate
+counters can also shrink, which voids the insert-only amortised
+``O(log N)`` update bound under adversarial oscillation across a
 power-of-two boundary; correctness is unaffected.
 """
 
@@ -58,10 +65,11 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..relational.join import count_results
+from ..relational.join import count_results, delta_counter
 from ..relational.query import JoinQuery
+from ..relational.schema import tuple_getter
 from ..relational.stream import StreamDelete, StreamTuple
 from .reservoir_join import ReservoirJoin
 
@@ -70,11 +78,6 @@ from .reservoir_join import ReservoirJoin
 #: ``O(target · log target)`` draws, so hitting this means the index's
 #: density invariant is broken, not that we were unlucky.
 _MAX_REFILL_ATTEMPTS = 200_000
-
-
-def _result_identity(result: dict) -> Tuple:
-    """Hashable identity of a join result (attribute order independent)."""
-    return tuple(sorted(result.items()))
 
 
 class TurnstileReservoirJoin(ReservoirJoin):
@@ -126,6 +129,11 @@ class TurnstileReservoirJoin(ReservoirJoin):
         # free parameter.
         self._config = {"grouping": grouping}
         self._pending: Dict[Tuple[str, tuple], int] = {}
+        self._pending_total = 0
+        #: exact surviving-join size ``|Q'|``, kept up to date by delta counts.
+        self._population = 0
+        #: per relation: exact ``row -> |ΔQ(R, t)|`` counter (built on first use).
+        self._delta_counters: Dict[str, Callable[[tuple], int]] = {}
         self.deletes_applied = 0
         self.annihilations = 0
         self.evictions = 0
@@ -137,17 +145,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
     def insert(self, relation: str, row: Sequence) -> None:
         """Process one insert, honouring pending tombstones."""
         row = tuple(row)
-        key = (relation, row)
-        outstanding = self._pending.get(key, 0)
-        if outstanding:
-            if outstanding == 1:
-                del self._pending[key]
-            else:
-                self._pending[key] = outstanding - 1
-            self.annihilations += 1
-            self.tuples_processed += 1
-            return
-        super().insert(relation, row)
+        if not self._annihilate(relation, row):
+            super().insert(relation, row)
 
     def delete(self, relation: str, row: Sequence) -> bool:
         """Process one retraction; returns whether a live row was removed.
@@ -230,26 +229,58 @@ class TurnstileReservoirJoin(ReservoirJoin):
             else:
                 relation, row = item
                 row = tuple(row)
-            key = (relation, row)
-            outstanding = self._pending.get(key, 0)
-            if outstanding:
-                if outstanding == 1:
-                    del self._pending[key]
-                else:
-                    self._pending[key] = outstanding - 1
-                self.annihilations += 1
-                self.tuples_processed += 1
-                continue
-            survivors.append((relation, row))
+            if not self._annihilate(relation, row):
+                survivors.append((relation, row))
         if not survivors:
             return 0
         return super().insert_batch(survivors)
+
+    def _annihilate(self, relation: str, row: tuple) -> bool:
+        """Consume one pending tombstone of ``row``; ``False`` when it has none."""
+        key = (relation, row)
+        outstanding = self._pending.get(key, 0)
+        if not outstanding:
+            return False
+        if outstanding == 1:
+            del self._pending[key]
+        else:
+            self._pending[key] = outstanding - 1
+        self._pending_total -= 1
+        self.annihilations += 1
+        self.tuples_processed += 1
+        return True
+
+    # ------------------------------------------------------------------ #
+    # The exact surviving count
+    # ------------------------------------------------------------------ #
+    def _delta_counter(self, relation: str) -> Callable[[tuple], int]:
+        counter = self._delta_counters.get(relation)
+        if counter is None:
+            counter = delta_counter(self.index.trees[relation].tree, self.index.database)
+            self._delta_counters[relation] = counter
+        return counter
+
+    def _insert_rewritten(self, relation: str, row: tuple) -> bool:
+        if not super()._insert_rewritten(relation, row):
+            return False
+        self._population += self._delta_counter(relation)(row)
+        return True
+
+    def _absorb(self, relation: str, rows: List[tuple]) -> List[tuple]:
+        # Each result holds exactly one row per relation, so the new rows'
+        # delta counts never overlap; counting each group right after it is
+        # stored (in insert order) counts every new result exactly once.
+        new_rows = super()._absorb(relation, rows)
+        if new_rows:
+            self._population += sum(map(self._delta_counter(relation), new_rows))
+        return new_rows
 
     # ------------------------------------------------------------------ #
     # Eviction and refill
     # ------------------------------------------------------------------ #
     def _apply_delete_pairs(self, pairs: List[Tuple[str, tuple]]) -> int:
         applied = 0
+        killed: Dict[str, Set[tuple]] = {}
         for relation, row in pairs:
             if relation not in self.index.database:
                 raise KeyError(
@@ -257,58 +288,62 @@ class TurnstileReservoirJoin(ReservoirJoin):
                     f"{self.original_query.name!r}"
                 )
             if self.index.delete(relation, row):
+                # The delta count reads only the other relations, so it is
+                # the same just before and just after the row leaves R.
+                self._population -= self._delta_counter(relation)(row)
+                killed.setdefault(relation, set()).add(row)
                 applied += 1
             else:
                 key = (relation, row)
                 self._pending[key] = self._pending.get(key, 0) + 1
+                self._pending_total += 1
         if applied:
             self.deletes_applied += applied
-            self._resample_after_deletes()
+            self._resample_after_deletes(killed)
         return applied
 
-    def _result_alive(self, result: dict) -> bool:
-        database = self.index.database
-        for schema in self.query.relations:
-            row = tuple(result[attr] for attr in schema.attrs)
-            if row not in database[schema.name]:
-                return False
-        return True
-
-    def _resample_after_deletes(self) -> None:
+    def _resample_after_deletes(self, killed: Dict[str, Set[tuple]]) -> None:
         """Evict dead results, refill from the survivors, re-anchor the skip.
 
         Implements steps 1–3 of the module-docstring uniformity argument.
+        Every held result was alive before the run, so it is dead exactly
+        when its row of some relation is among the run's applied deletes
+        ``killed`` — an ``O(k)`` filter against small sets, never a scan of
+        the database.
         """
-        population = count_results(self.query, self.index.database)
-        held: set = set()
-        live: List[dict] = []
-        for result in self.reservoir.sample:
-            if self._result_alive(result):
-                live.append(result)
-                held.add(_result_identity(result))
-            else:
-                self.evictions += 1
+        population = self._population
+        held = self.reservoir.sample
+        live = held
+        for relation, rows in killed.items():
+            # tuple_getter indexes with whatever keys it is given: attribute
+            # names project a result dict onto the relation's row tuple.
+            project = tuple_getter(self.query.relation(relation).attrs)
+            live = [result for result in live if project(result) not in rows]
+        self.evictions += len(held) - len(live)
         target = min(self.k, population)
-        attempts = 0
-        while len(live) < target:
-            attempts += 1
-            if attempts > _MAX_REFILL_ATTEMPTS:
-                raise RuntimeError(
-                    "refill rejection sampling failed; the index density "
-                    "invariant is broken"
-                )
-            draw = self.index.sample(self._rng)
-            if draw is None:
-                raise RuntimeError(
-                    "full-join sampling returned empty while the exact "
-                    f"surviving count is {population}"
-                )
-            identity = _result_identity(draw)
-            if identity in held:
-                continue
-            held.add(identity)
-            live.append(draw)
-            self.refills += 1
+        if len(live) < target:
+            identity = tuple_getter(self.query.output_attrs())
+            seen = {identity(result) for result in live}
+            attempts = 0
+            while len(live) < target:
+                attempts += 1
+                if attempts > _MAX_REFILL_ATTEMPTS:
+                    raise RuntimeError(
+                        "refill rejection sampling failed; the index density "
+                        "invariant is broken"
+                    )
+                draw = self.index.sample(self._rng)
+                if draw is None:
+                    raise RuntimeError(
+                        "full-join sampling returned empty while the exact "
+                        f"surviving count is {population}"
+                    )
+                key = identity(draw)
+                if key in seen:
+                    continue
+                seen.add(key)
+                live.append(draw)
+                self.refills += 1
         self.reservoir.rebase_population(live, population)
 
     # ------------------------------------------------------------------ #
@@ -320,10 +355,12 @@ class TurnstileReservoirJoin(ReservoirJoin):
 
     def snapshot_state(self) -> Dict[str, object]:
         state = super().snapshot_state()
+        # Insertion order, not sorted: rows may mix None/str/int in a column.
         state["pending_tombstones"] = [
             [relation, list(row), count]
-            for (relation, row), count in sorted(self._pending.items())
+            for (relation, row), count in self._pending.items()
         ]
+        state["population"] = self._population
         state["turnstile_counters"] = {
             "deletes_applied": self.deletes_applied,
             "annihilations": self.annihilations,
@@ -338,6 +375,14 @@ class TurnstileReservoirJoin(ReservoirJoin):
             (relation, tuple(row)): count
             for relation, row, count in state.get("pending_tombstones", [])
         }
+        self._pending_total = sum(self._pending.values())
+        self._delta_counters = {}
+        population = state.get("population")
+        self._population = (
+            population
+            if population is not None
+            else count_results(self.query, self.index.database)
+        )
         counters = state.get("turnstile_counters", {})
         self.deletes_applied = counters.get("deletes_applied", 0)
         self.annihilations = counters.get("annihilations", 0)
@@ -349,8 +394,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
     # ------------------------------------------------------------------ #
     @property
     def tombstones_pending(self) -> int:
-        """Outstanding early retractions awaiting their insert."""
-        return sum(self._pending.values())
+        """Outstanding early retractions awaiting their insert (O(1))."""
+        return self._pending_total
 
     def statistics(self) -> Dict[str, int]:
         stats = super().statistics()
@@ -568,9 +613,10 @@ class WindowedSampler:
             "mode": self.mode,
             "clock": self._clock,
             "watermark": self._watermark,
+            # Insertion order, not sorted: rows may mix None/str/int in a column.
             "stamps": [
                 [relation, list(row), stamp]
-                for (relation, row), stamp in sorted(self._stamps.items())
+                for (relation, row), stamp in self._stamps.items()
             ],
             # The heap array is serialized verbatim (it is a valid heap in
             # this order), so a restore continues bit-identically.

@@ -17,11 +17,12 @@ enough for the scaled-down instances the reproduction runs on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .database import Database
+from .jointree import JoinTree, RootedJoinTree
 from .query import JoinQuery
-from .schema import canonical_attrs
+from .schema import canonical_attrs, tuple_getter
 
 
 def _relation_order(query: JoinQuery, first: Optional[str] = None) -> List[str]:
@@ -113,9 +114,6 @@ def count_results(query: JoinQuery, database: Database) -> int:
     """
     if not query.is_acyclic():
         return join_size(query, database)
-    from .jointree import JoinTree
-    from .schema import tuple_getter
-
     rooted = JoinTree(query).rooted_at(query.relation_names[0])
     degrees: Dict[str, Dict[Tuple, int]] = {}
     for name in rooted.bottom_up_order():
@@ -190,11 +188,91 @@ def iter_delta_results(
     yield from _extend(query, database, order[1:], 0, assignment)
 
 
+class _ChildProduct:
+    """``row -> Π_c count_c(π_key(c) row)`` over a tree node's children.
+
+    A plain class rather than a closure so that a sampler caching its delta
+    counters still pickles.
+    """
+
+    def __init__(self, children: List[Tuple[Callable, Callable]]) -> None:
+        self.children = children
+
+    def __call__(self, row: Tuple) -> int:
+        weight = 1
+        for project, count in self.children:
+            weight *= count(project(row))
+            if not weight:
+                return 0
+        return weight
+
+
+class _SubtreeCount:
+    """``key -> `` the number of sub-join results below a node matching ``key``."""
+
+    def __init__(self, lookup: Callable, extend: _ChildProduct) -> None:
+        self.lookup = lookup
+        self.extend = extend
+
+    def __call__(self, key: Tuple) -> int:
+        extend = self.extend
+        total = 0
+        for row in self.lookup(key):
+            total += extend(row)
+        return total
+
+
+def _child_product(rooted: RootedJoinTree, database: Database, name: str) -> _ChildProduct:
+    schema = database[name].schema
+    children = []
+    for child in rooted.children_of(name):
+        relation = database[child]
+        index = relation.index_on(rooted.key_of(child))
+        grandchildren = _child_product(rooted, database, child)
+        count = (
+            _SubtreeCount(index.lookup, grandchildren)
+            if grandchildren.children
+            else index.group_count
+        )
+        children.append((tuple_getter(schema.positions_of(rooted.key_of(child))), count))
+    return _ChildProduct(children)
+
+
+def delta_counter(rooted: RootedJoinTree, database: Database) -> Callable[[Tuple], int]:
+    """An exact ``row -> |ΔQ(R, t)|`` counter for the root relation ``R``.
+
+    Every result of ``ΔQ(R, t)`` holds ``t`` and exactly one row of every
+    other relation, so its size is the product, over the children ``c`` of
+    the root, of the number of sub-join results in ``c``'s subtree that
+    agree with ``t`` on ``key(c)``.  Each subtree count is evaluated top-down
+    through the maintained hash index of ``R_c`` on ``key(c)``, so the cost
+    is proportional to the rows that join with ``t``, not to ``N``.  A
+    :class:`~repro.index.dynamic_index.DynamicJoinIndex` already maintains
+    these indexes for every rooting (each edge of the join tree is a child
+    key in the tree rooted at either end), so counting over its database
+    registers nothing new.
+
+    The count reads only the *other* relations, so it is the same whether
+    or not ``t`` is currently stored in ``R`` — the caller decides whether
+    a row that is absent counts (see :func:`delta_size`).
+    """
+    return _child_product(rooted, database, rooted.root)
+
+
 def delta_size(
     query: JoinQuery, database: Database, relation: str, row: Sequence
 ) -> int:
-    """``|ΔQ(R, t)|`` computed by enumeration."""
-    return sum(1 for _ in iter_delta_results(query, database, relation, row))
+    """``|ΔQ(R, t)|`` for a row stored in ``relation`` (0 when it is absent).
+
+    Acyclic queries use the exact tree count of :func:`delta_counter`;
+    cyclic queries fall back to enumerating :func:`iter_delta_results`.
+    """
+    row = tuple(row)
+    if row not in database[relation]:
+        return 0
+    if not query.is_acyclic():
+        return sum(1 for _ in iter_delta_results(query, database, relation, row))
+    return delta_counter(JoinTree(query).rooted_at(relation), database)(row)
 
 
 def results_as_tuples(

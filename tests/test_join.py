@@ -94,3 +94,30 @@ class TestDeltaJoin:
             {"R1": [(0, 1)], "R2": [(0, 5), (0, 6)], "R3": [(0, 7)]},
         )
         assert delta_size(star3_query, database, "R1", (0, 1)) == 2
+
+    @pytest.mark.parametrize("query_name", ["two_table_query", "line3_query", "star3_query"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_delta_size_matches_enumeration_on_random_databases(
+        self, request, query_name, seed
+    ):
+        query = request.getfixturevalue(query_name)
+        rng = random.Random(seed)
+        database = Database(query)
+        for _ in range(40):
+            relation = rng.choice(query.relation_names)
+            database.insert(relation, (rng.randrange(4), rng.randrange(4)))
+        # Every stored row, plus absent rows (whose delta is empty).
+        for relation in query.relation_names:
+            candidates = list(database[relation].rows) + [(9, 9), (rng.randrange(4), 9)]
+            for row in candidates:
+                expected = len(delta_results(query, database, relation, row))
+                assert delta_size(query, database, relation, row) == expected
+
+    def test_cyclic_delta_size_enumerates(self, triangle_query):
+        edges = [(1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4)]
+        database = Database.from_dict(
+            triangle_query, {name: edges for name in triangle_query.relation_names}
+        )
+        for row in edges:
+            expected = len(delta_results(triangle_query, database, "R1", row))
+            assert delta_size(triangle_query, database, "R1", row) == expected

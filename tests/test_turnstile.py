@@ -307,6 +307,70 @@ def test_snapshot_roundtrip_preserves_tombstones():
     assert restored.index.size == 1
 
 
+def test_tombstones_pending_tracks_the_multiset():
+    stream = two_table_turnstile(71, delete_fraction=0.4)
+    sampler = TurnstileReservoirJoin(TWO, k=5, rng=random.Random(71))
+    seen_pending = False
+    for position, item in enumerate(stream):
+        if isinstance(item, StreamDelete):
+            sampler.delete(item.relation, item.row)
+        else:
+            sampler.insert(item.relation, item.row)
+        assert sampler.tombstones_pending == sum(sampler._pending.values())
+        seen_pending = seen_pending or sampler.tombstones_pending > 0
+        if position == len(stream) // 2:
+            sampler = restore_backend(snapshot_backend(sampler))
+            assert sampler.tombstones_pending == sum(sampler._pending.values())
+    assert seen_pending
+
+
+#: ``b`` mixes None, str and int, so the stored rows, the pending tombstones
+#: and the window stamps all hold rows that do not sort against each other.
+MIXED_STREAM = [
+    StreamDelete("R", (1, None)),
+    StreamDelete("R", (1, "x")),
+    StreamTuple("R", (2, None), 1),
+    StreamTuple("S", (None, 5), 2),
+    StreamTuple("R", (2, "x"), 3),
+    StreamTuple("S", ("x", 6), 4),
+    StreamTuple("S", (3, 7), 5),
+    StreamTuple("R", (1, None), 6),
+    StreamTuple("R", (4, 3), 7),
+    StreamDelete("S", (None, 5)),
+    StreamTuple("S", (None, 8), 8),
+    StreamTuple("R", (1, "x"), 9),
+    StreamTuple("R", (5, None), 10),
+    StreamTuple("S", ("x", 9), 11),
+    StreamDelete("R", (2, "x")),
+    StreamTuple("S", (3, 10), 12),
+    StreamTuple("R", (6, "x"), 13),
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TurnstileReservoirJoin(TWO, k=3, rng=random.Random(5)),
+        lambda: WindowedSampler(TWO, k=3, window=6, rng=random.Random(5)),
+        lambda: WindowedSampler(TWO, k=3, window=4, rng=random.Random(5), mode="timestamp"),
+    ],
+    ids=["turnstile", "windowed-count", "windowed-timestamp"],
+)
+def test_mixed_type_rows_checkpoint_bit_identity(tmp_path, build):
+    chunk = 2
+    uninterrupted = BatchIngestor(build(), chunk_size=chunk)
+    uninterrupted.ingest(MIXED_STREAM)
+    for cut in range(chunk, len(MIXED_STREAM), chunk):
+        first = BatchIngestor(build(), chunk_size=chunk)
+        first.ingest(MIXED_STREAM[:cut])
+        path = tmp_path / f"mixed-{cut}.ckpt"
+        first.save(str(path))
+        resumed = BatchIngestor.restore(str(path))
+        resumed.ingest(MIXED_STREAM[cut:])
+        assert list(resumed.sampler.sample) == list(uninterrupted.sampler.sample)
+        assert resumed.sampler.statistics() == uninterrupted.sampler.statistics()
+
+
 # ---------------------------------------------------------------------- #
 # Sliding windows
 # ---------------------------------------------------------------------- #
