@@ -16,12 +16,9 @@ test: unit docs-check
 # counts (the whole thing finishes in well under three minutes).  The pool
 # module already runs as part of `unit`; the second pass pins the `pipe`
 # transport fallback, which the default-slab suite would otherwise never
-# exercise end to end.  The REPRO_COLUMNAR=0 pass pins the numpy-free /
-# columnar-disabled row path, which the default run (columnar on) would
-# otherwise never exercise end to end.
+# exercise end to end.
 test-smoke: unit docs-check
 	REPRO_POOL_TRANSPORT=pipe python -m pytest tests/test_pool.py tests/test_shard_ingest.py -q
-	REPRO_COLUMNAR=0 python -m pytest tests/test_columnar.py tests/test_batch_ingest.py tests/test_shard_ingest.py tests/test_rebalance.py tests/test_turnstile.py -q
 	python -m pytest tests/test_serving.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
 
@@ -65,9 +62,8 @@ bench:
 bench-fanout:
 	python benchmarks/bench_fanout.py
 
-# Profile-first workflow for the columnar hot path: GC-paused wall times
-# plus cProfile hotspot tables for the batched and sharded ingestion modes
-# (REPRO_COLUMNAR=0 profiles the row-path baseline for comparison).
+# Profile-first workflow for the ingestion hot path: GC-paused wall times
+# plus cProfile hotspot tables for the batched and sharded ingestion modes.
 profile:
 	python tools/profile_hotpath.py
 

@@ -7,20 +7,11 @@ Emits ``BENCH_batch_ingest.json`` (in the current working directory) with the
 measured times and speedups; the headline criterion is ≥2× throughput for
 the batched mode at its best chunk size.
 
-A second report, ``BENCH_columnar.json``, measures the columnar hot path
-against the row-path twin of the *same* batched (and sharded) configuration:
-``REPRO_COLUMNAR`` is flipped per timed run, and before any timing the two
-paths' samples are asserted byte-identical — a columnar run that drifted
-from the row path would abort the benchmark rather than report a speedup.
-Per the bench-box convention the ≥2× columnar target is informational,
-never gated on.
-
 Run with:  python benchmarks/bench_batch_ingest.py
 """
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import json
 import os
@@ -30,9 +21,8 @@ from typing import Dict, List
 
 from repro.core.reservoir_join import ReservoirJoin
 from repro.ingest.batch import BatchIngestor
-from repro.ingest.shard import ShardedIngestor
 from repro.relational.query import JoinQuery
-from repro.relational.stream import StreamTuple, columnar_enabled
+from repro.relational.stream import StreamTuple
 
 #: CI smoke knob: ``REPRO_BENCH_SCALE`` < 1 shrinks the streams (and the
 #: chunk-size knobs that must shrink with them) proportionally.  Used by
@@ -142,122 +132,6 @@ def bench_rows(n: int = N_TUPLES) -> Dict:
 
 
 # --------------------------------------------------------------------- #
-# Columnar hot path vs the row-path twin
-# --------------------------------------------------------------------- #
-NUM_SHARDS = 4
-
-
-@contextlib.contextmanager
-def _gate(value: str):
-    """Temporarily force ``REPRO_COLUMNAR`` (restored on exit)."""
-    previous = os.environ.get("REPRO_COLUMNAR")
-    os.environ["REPRO_COLUMNAR"] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_COLUMNAR", None)
-        else:
-            os.environ["REPRO_COLUMNAR"] = previous
-
-
-def _batched_sample(query: JoinQuery, stream: List[StreamTuple], chunk_size: int):
-    sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
-    BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
-    return sampler.sample
-
-
-def _sharded_samples(query: JoinQuery, stream: List[StreamTuple], chunk_size: int):
-    ingestor = ShardedIngestor(
-        query, k=SAMPLE_SIZE, num_shards=NUM_SHARDS, chunk_size=chunk_size,
-        rng=random.Random(2),
-    )
-    ingestor.ingest(stream)
-    merged = ingestor.merged_sample(rng=random.Random(3))
-    return [list(sampler.sample) for sampler in ingestor.samplers], merged
-
-
-def run_sharded(query: JoinQuery, stream: List[StreamTuple], chunk_size: int) -> float:
-    def run():
-        ingestor = ShardedIngestor(
-            query, k=SAMPLE_SIZE, num_shards=NUM_SHARDS, chunk_size=chunk_size,
-            rng=random.Random(2),
-        )
-        ingestor.ingest(stream)
-
-    return timed(run)
-
-
-def bench_columnar(n: int = N_TUPLES) -> Dict:
-    query = chain3_query()
-    stream = make_stream(n)
-    chunk_size = CHUNK_SIZES[0]
-
-    # Bit-identity is asserted BEFORE any timing: a columnar path that
-    # produced different bytes must abort here, not report a speedup.
-    with _gate("1"):
-        columnar_batched_sample = _batched_sample(query, stream, chunk_size)
-        columnar_shards, columnar_merged = _sharded_samples(query, stream, chunk_size)
-    with _gate("0"):
-        row_batched_sample = _batched_sample(query, stream, chunk_size)
-        row_shards, row_merged = _sharded_samples(query, stream, chunk_size)
-    assert columnar_batched_sample == row_batched_sample, (
-        "columnar batched sample diverged from the row path"
-    )
-    assert columnar_shards == row_shards and columnar_merged == row_merged, (
-        "columnar sharded samples diverged from the row path"
-    )
-
-    modes = []
-    best_speedup = 0.0
-    for label, runner in (
-        ("batched", lambda: run_batched(query, stream, chunk_size)),
-        ("sharded", lambda: run_sharded(query, stream, chunk_size)),
-    ):
-        with _gate("0"):
-            row_seconds = min(runner() for _ in range(REPEATS))
-        with _gate("1"):
-            columnar_seconds = min(runner() for _ in range(REPEATS))
-        speedup = row_seconds / columnar_seconds
-        best_speedup = max(best_speedup, speedup)
-        modes.append(
-            {
-                "mode": f"row_{label}",
-                "chunk_size": chunk_size,
-                "seconds": round(row_seconds, 4),
-                "tuples_per_second": round(n / row_seconds),
-                "speedup": 1.0,
-            }
-        )
-        modes.append(
-            {
-                "mode": f"columnar_{label}",
-                "chunk_size": chunk_size,
-                "seconds": round(columnar_seconds, 4),
-                "tuples_per_second": round(n / columnar_seconds),
-                "speedup": round(speedup, 2),
-            }
-        )
-    with _gate("1"):
-        columnar_available = columnar_enabled()
-    return {
-        "benchmark": "columnar",
-        "query": "chain-3",
-        "n_tuples": n,
-        "sample_size": SAMPLE_SIZE,
-        "num_shards": NUM_SHARDS,
-        "chunk_size": chunk_size,
-        "repeats": REPEATS,
-        "columnar_available": columnar_available,
-        "bit_identical": True,  # asserted above, before any timing
-        "modes": modes,
-        "best_speedup": round(best_speedup, 2),
-        "target_speedup": TARGET_SPEEDUP,
-        "meets_target": best_speedup >= TARGET_SPEEDUP,
-    }
-
-
-# --------------------------------------------------------------------- #
 # pytest-benchmark targets (reduced scale)
 # --------------------------------------------------------------------- #
 def test_ingest_per_tuple(benchmark):
@@ -292,23 +166,6 @@ def main() -> None:
           f"(target ≥ {report['target_speedup']}x, "
           f"{'met' if report['meets_target'] else 'NOT met'})")
     print("wrote BENCH_batch_ingest.json")
-
-    columnar = bench_columnar()
-    with open("BENCH_columnar.json", "w") as handle:
-        json.dump(columnar, handle, indent=2)
-    print(f"columnar hot path — chain-3, N={columnar['n_tuples']}, "
-          f"chunk={columnar['chunk_size']}, "
-          f"columnar {'on' if columnar['columnar_available'] else 'UNAVAILABLE'}, "
-          f"bit-identical samples asserted")
-    for row in columnar["modes"]:
-        print(
-            f"  {row['mode']:>16}: {row['seconds']:7.3f}s  "
-            f"{row['tuples_per_second']:>9,} tuples/s  {row['speedup']:.2f}x"
-        )
-    print(f"best columnar speedup: {columnar['best_speedup']:.2f}x "
-          f"(target ≥ {columnar['target_speedup']}x, "
-          f"{'met' if columnar['meets_target'] else 'NOT met'}; informational)")
-    print("wrote BENCH_columnar.json")
 
 
 if __name__ == "__main__":

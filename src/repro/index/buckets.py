@@ -129,31 +129,6 @@ class BucketFamily:
         self.cnt = count
         self.approx = (1 << (count - 1).bit_length()) if count else 0
 
-    def add_many(self, entities: List[Tuple], exponents: List[int]) -> None:
-        """Bulk-add fresh entities, ``entities[i]`` with weight ``2**exponents[i]``.
-
-        The batch companion of the ``old_weight == 0`` case of
-        :meth:`reweight_one`, trusted the same way (entities must be new to
-        the family).  The final state is identical to calling
-        :meth:`reweight_one` once per entity in the given order — ``cnt`` is
-        a sum and ``approx`` a function of ``cnt``, so only the final
-        rounding is computed; per-bucket item order is the given order,
-        which the bulk index path has already arranged to be stream order.
-        """
-        buckets = self._buckets
-        added = 0
-        for entity, exponent in zip(entities, exponents):
-            bucket = buckets.get(exponent)
-            if bucket is None:
-                bucket = Bucket()
-                buckets[exponent] = bucket
-            bucket._positions[entity] = len(bucket._items)
-            bucket._items.append(entity)
-            added += 1 << exponent
-        count = self.cnt + added
-        self.cnt = count
-        self.approx = (1 << (count - 1).bit_length()) if count else 0
-
     def _add(self, entity: Tuple, weight: int) -> None:
         if not is_pow2(weight):
             raise ValueError(f"bucket weights must be powers of two, got {weight}")

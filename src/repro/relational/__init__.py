@@ -1,22 +1,12 @@
-"""Relational substrate: schemas, relations, queries, streams and joins.
-
-Stream deliveries travel either as ``(relation, row)`` pair lists or as
-:class:`ColumnarChunk` pivots of the same data (per-relation row lists plus
-the interleaving order).  The two forms are losslessly interconvertible;
-the columnar form additionally exposes lazily-built int64 column arrays
-that the ingestion hot paths use for vectorized shard routing and index
-maintenance when numpy is available (``columnar_enabled``).
-"""
+"""Relational substrate: schemas, relations, queries, streams and joins."""
 
 from .schema import KeyConstraint, RelationSchema, canonical_attrs
 from .relation import ProjectionView, Relation, RelationIndex
 from .query import JoinQuery
 from .database import Database
 from .stream import (
-    ColumnarChunk,
     StreamTuple,
     checkpoints,
-    columnar_enabled,
     concatenate,
     interleave,
     prefix,
@@ -46,10 +36,8 @@ __all__ = [
     "RelationIndex",
     "JoinQuery",
     "Database",
-    "ColumnarChunk",
     "StreamTuple",
     "checkpoints",
-    "columnar_enabled",
     "concatenate",
     "interleave",
     "prefix",

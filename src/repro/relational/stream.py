@@ -8,35 +8,10 @@ and replay streams reproducibly.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-try:  # numpy is an install-require, but the row path must keep working without it
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy-free interpreter
-    _np = None
-
-
-def numpy_or_none():
-    """The numpy module when columnar vectorization is allowed, else ``None``.
-
-    The one gate every vectorized hot path checks: ``REPRO_COLUMNAR=0``
-    forces the pure-Python row path (the fallback CI pass runs the whole
-    suite this way), and a numpy-free interpreter degrades identically.
-    Read per call, so tests can flip the environment between constructions.
-    """
-    if _np is None or os.environ.get("REPRO_COLUMNAR", "1") == "0":
-        return None
-    return _np
-
-
-def columnar_enabled() -> bool:
-    """Whether the columnar hot path is active (numpy present, not disabled)."""
-    return numpy_or_none() is not None
-
 
 @dataclass(frozen=True)
 class StreamTuple:
@@ -104,148 +79,6 @@ def as_relation_rows(items: Iterable) -> List[Tuple[str, Tuple]]:
             relation, row = item
             pairs.append((relation, tuple(row)))
     return pairs
-
-
-#: Cache sentinel distinguishing "column not yet built" from "column not
-#: representable" (``None``) in :class:`ColumnarChunk`.
-_UNBUILT = object()
-
-
-def int64_array(values):
-    """``values`` as an ``int64`` array, or ``None`` when not representable.
-
-    The one coercion rule of every columnar path: machine-size Python ints
-    and bools (hash- and equality-consistent with their int values) become
-    ``int64``; anything else — floats, strings, big ints, ``None`` — keeps
-    the column on the scalar path.  The type scan happens inside
-    ``np.asarray`` at C speed: the natural dtype of the list *is* the type
-    evidence (``i``/``b`` = clean, ``u``/``f``/``U``/``O``/... = at least
-    one value the scalar path must handle).
-    """
-    np = numpy_or_none()
-    if np is None:
-        return None
-    try:
-        array = np.asarray(values)
-    except (OverflowError, ValueError, TypeError):
-        return None
-    kind = array.dtype.kind
-    if kind == "i" and array.dtype.itemsize <= 8:
-        return array if array.dtype.itemsize == 8 else array.astype(np.int64)
-    if kind == "b":
-        return array.astype(np.int64)
-    return None
-
-
-class ColumnarChunk:
-    """One chunk of stream tuples in columnar form.
-
-    The row-oriented chunk — a list of ``(relation, row)`` pairs — is what
-    the ingestion seam transports; this is the same chunk pivoted for array
-    work: the rows of each relation gathered into one list (stream order
-    preserved within the relation) plus ``order``, the per-position relation
-    index that remembers the original interleaving.  The conversion is
-    lossless by construction (:meth:`from_items` / :meth:`to_pairs` are
-    exact inverses — rows are kept as the original tuples, never re-encoded),
-    so any consumer can fall back to the row path at any point.
-
-    :meth:`column` exposes one attribute position of one relation as an
-    ``int64`` numpy array, built lazily and cached — the raw material of the
-    vectorized routing and index-maintenance paths.  Columns holding
-    anything but machine-size Python ints return ``None`` (strings, floats,
-    big ints: the scalar path handles them; silently coercing would break
-    hash/equality semantics), as does every column when the
-    :func:`numpy_or_none` gate is off.
-    """
-
-    __slots__ = ("relations", "rows", "order", "_columns")
-
-    def __init__(
-        self,
-        relations: Sequence[str],
-        rows: Dict[str, List[Tuple]],
-        order: List[int],
-    ) -> None:
-        self.relations = tuple(relations)
-        self.rows = rows
-        self.order = order
-        self._columns: Dict[Tuple[str, int], object] = {}
-
-    @classmethod
-    def from_items(cls, items: Iterable) -> "ColumnarChunk":
-        """Pivot a chunk of ``StreamTuple``/``(relation, row)`` items."""
-        relations: List[str] = []
-        index_of: Dict[str, int] = {}
-        rows: Dict[str, List[Tuple]] = {}
-        order: List[int] = []
-        for item in items:
-            if isinstance(item, StreamTuple):
-                relation, row = item.relation, item.row
-            else:
-                _reject_delete(item)
-                relation, row = item
-                row = tuple(row)
-            index = index_of.get(relation)
-            if index is None:
-                index = index_of[relation] = len(relations)
-                relations.append(relation)
-                rows[relation] = []
-            rows[relation].append(row)
-            order.append(index)
-        return cls(relations, rows, order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def to_pairs(self) -> List[Tuple[str, Tuple]]:
-        """The original ``(relation, row)`` pair list, exactly reconstructed."""
-        relations = self.relations
-        row_lists = [self.rows[name] for name in relations]
-        positions = [0] * len(relations)
-        pairs: List[Tuple[str, Tuple]] = []
-        for index in self.order:
-            position = positions[index]
-            positions[index] = position + 1
-            pairs.append((relations[index], row_lists[index][position]))
-        return pairs
-
-    def validate(self, query) -> None:
-        """Whole-chunk validation against ``query`` before any mutation.
-
-        The columnar twin of :func:`validated_items`: ``KeyError`` for a
-        relation outside the query, ``ValueError`` for a row whose arity
-        does not match — both raised before the caller touches any state.
-        """
-        arities = {schema.name: schema.arity for schema in query.relations}
-        for relation in self.relations:
-            arity = arities.get(relation)
-            if arity is None:
-                raise KeyError(
-                    f"relation {relation!r} is not part of query {query.name!r}"
-                )
-            for row in self.rows[relation]:
-                if len(row) != arity:
-                    raise ValueError(
-                        f"row arity {len(row)} does not match relation "
-                        f"{relation!r} arity {arity}"
-                    )
-
-    def column(self, relation: str, position: int):
-        """Component ``position`` of every row of ``relation`` as ``int64``.
-
-        ``None`` when the gate is off or any value is not a machine-size
-        Python int (``bool`` included — it is hash- and equality-consistent
-        with its int value, so grouping by the coerced array groups exactly
-        as a dict over the original values would).  Cached per
-        ``(relation, position)``.
-        """
-        key = (relation, position)
-        cached = self._columns.get(key, _UNBUILT)
-        if cached is not _UNBUILT:
-            return cached
-        column = int64_array([row[position] for row in self.rows[relation]])
-        self._columns[key] = column
-        return column
 
 
 def validated_items(items: Iterable, query) -> List[Tuple[str, Tuple]]:

@@ -66,16 +66,6 @@ the two properties the sharded/bulk refactor must preserve:
     a read-path concern, never a distribution change: the snapshot capture
     must neither consume the writer's randomness nor perturb its state.
 
-(h) **Columnar ≡ row path, bit for bit.**  With the same seed, the batched,
-    sharded and fan-out modes driven with the columnar hot path enabled
-    (``REPRO_COLUMNAR=1``, the default) must end in exactly the state of
-    their ``REPRO_COLUMNAR=0`` row-path twins — same reservoirs in order,
-    same statistics, same exact counts and merged draws — at chunk sizes
-    {1, 7, 1024}; and the sample drawn *through* the probed
-    ``ingest_columnar`` delivery must independently pass the chi-square
-    uniformity check.  Vectorization is a constant-factor concern, never a
-    distribution change.
-
 Trial counts honour ``REPRO_STAT_TRIALS`` (see ``tests/conftest.py``).
 """
 
@@ -102,7 +92,6 @@ from repro import (
 from repro import SJoin
 from repro.core.backend import chunk_apply
 from repro.ingest import chunked
-from repro.relational import columnar_enabled
 from repro.workloads import ldbc, tpcds
 from repro.relational import Database, count_results, join_size
 from repro.stats.uniformity import result_key, uniformity_p_value
@@ -790,128 +779,3 @@ def test_served_sharded_merged_sample_bit_identical_at_every_epoch(case_seed):
     assert [list(s.sample) for s in snap.replica.samplers] == [
         list(s.sample) for s in standalone.samplers
     ]
-
-
-# ---------------------------------------------------------------------- #
-# (h) Columnar hot path ≡ row path, bit for bit
-# ---------------------------------------------------------------------- #
-COLUMNAR_CHUNK_SIZES = [1, 7, 1024]
-
-columnar_only = pytest.mark.skipif(
-    not columnar_enabled(),
-    reason="columnar gate is off (no numpy or REPRO_COLUMNAR=0)",
-)
-
-
-def _columnar_case(case_seed):
-    """A random acyclic case with a stream long enough that the vectorized
-    paths genuinely engage (chunks of 1024 put well over ``VECTOR_MIN_ROWS``
-    rows of every relation into each chunk)."""
-    rng = random.Random(case_seed)
-    query, _ = random_acyclic_case(rng)
-    return query, random_stream(query, rng, n=600, domain=8)
-
-
-@columnar_only
-@pytest.mark.parametrize("case_seed", [13, 53, 97])
-@pytest.mark.parametrize("chunk_size", COLUMNAR_CHUNK_SIZES)
-def test_columnar_batched_bit_identical(case_seed, chunk_size, monkeypatch):
-    """``REPRO_COLUMNAR=1`` vs ``=0`` twins of the batched mode end the
-    stream with the same reservoir in order and the same statistics: the
-    vectorized hot paths change timings, never bytes."""
-    query, stream = _columnar_case(case_seed)
-
-    def run(gate, expected_mode):
-        monkeypatch.setenv("REPRO_COLUMNAR", gate)
-        sampler = ReservoirJoin(query, 9, rng=random.Random(case_seed + 1))
-        assert chunk_apply(sampler)[1] == expected_mode
-        BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
-        return sampler.sample, sampler.statistics()
-
-    columnar_sample, columnar_stats = run("1", "ingest_columnar")
-    row_sample, row_stats = run("0", "insert_batch")
-    assert columnar_sample == row_sample
-    assert columnar_stats == row_stats
-
-
-@columnar_only
-@pytest.mark.parametrize("case_seed", [17, 61, 103])
-@pytest.mark.parametrize("chunk_size", COLUMNAR_CHUNK_SIZES)
-def test_columnar_sharded_bit_identical(case_seed, chunk_size, monkeypatch):
-    """Vectorized shard routing and the columnar shard replicas leave every
-    reservoir, every exact count and the weighted merge bit-identical to
-    the row-path twin."""
-    query, stream = _columnar_case(case_seed)
-    num_shards = random.Random(case_seed).choice([2, 3, 4])
-
-    def run(gate):
-        monkeypatch.setenv("REPRO_COLUMNAR", gate)
-        ingestor = ShardedIngestor(
-            query, k=7, num_shards=num_shards, chunk_size=chunk_size,
-            rng=random.Random(case_seed + 1),
-        )
-        ingestor.ingest(stream)
-        return (
-            [list(sampler.sample) for sampler in ingestor.samplers],
-            ingestor.shard_counts(),
-            ingestor.merged_sample(rng=random.Random(case_seed + 2)),
-        )
-
-    assert run("1") == run("0")
-
-
-@columnar_only
-@pytest.mark.parametrize("case_seed", [41, 83, 107])
-def test_columnar_fanout_bit_identical(case_seed, monkeypatch):
-    """Fan-out delivery through the columnar probe equals the row-path
-    twin backend for backend — including a nested sharded ingestor, whose
-    chunks route through the vectorized splitter."""
-    query, stream = _columnar_case(case_seed)
-
-    def run(gate):
-        monkeypatch.setenv("REPRO_COLUMNAR", gate)
-        fan = FanoutIngestor(chunk_size=32, rng=random.Random(case_seed + 1))
-        fan.register("acyclic", lambda r: ReservoirJoin(query, 8, rng=r))
-        fan.register("cyclic", lambda r: CyclicReservoirJoin(query, 8, rng=r))
-        fan.register(
-            "sharded",
-            lambda r: ShardedIngestor(
-                query, k=8, num_shards=2, chunk_size=32, rng=r
-            ),
-        )
-        fan.ingest(stream)
-        return (
-            list(fan.backend("acyclic").sample),
-            fan.backend("acyclic").statistics(),
-            list(fan.backend("cyclic").sample),
-            fan.backend("sharded").merged_sample(rng=random.Random(case_seed + 3)),
-        )
-
-    assert run("1") == run("0")
-
-
-@columnar_only
-@pytest.mark.parametrize("case_seed", [67])
-def test_columnar_sample_uniform(case_seed):
-    """Chi-square through the columnar delivery path itself: chunks applied
-    via the probed ``ingest_columnar`` callable draw uniformly over the
-    ground-truth result set."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    universe = ground_truth(query, stream)
-    if len(universe) < 8:
-        pytest.skip("degenerate random instance (join too small)")
-    k = max(3, len(universe) // 8)
-
-    def run(seed):
-        sampler = ReservoirJoin(query, k, rng=random.Random(seed))
-        apply, mode = chunk_apply(sampler)
-        assert mode == "ingest_columnar"
-        for chunk in chunked(stream, 11):
-            apply(chunk)
-        sample = sampler.sample
-        assert len(sample) == min(k, len(universe))
-        return sample
-
-    p_value = uniformity_p_value(run, universe, TRIALS, k)
-    assert p_value > P_THRESHOLD, f"columnar path rejected: p={p_value:.5f}"

@@ -24,6 +24,9 @@ from repro import (
     SymmetricHashJoinSampler,
 )
 from repro.baselines.naive import NaiveRecomputeSampler
+from repro.core.backend import chunk_apply
+from repro.core.batch_reservoir import BatchedPredicateReservoir
+from repro.core.skippable import ListBatch
 from repro.ingest.batch import chunked
 from repro.stats.uniformity import result_key
 
@@ -170,6 +173,51 @@ class TestBatchIngestor:
         assert sampler.seen == [("R1", (1, 2)), ("R2", (2, 3))]
         assert not ingestor.uses_fast_path
         assert ingestor.statistics()["fast_path"] is False
+
+
+# ---------------------------------------------------------------------- #
+# Chunk dispatch and deferred skips
+# ---------------------------------------------------------------------- #
+class TestCapabilityProbe:
+    def test_reservoir_join_probes_insert_batch(self, line3_query):
+        sampler = ReservoirJoin(line3_query, 5, rng=random.Random(0))
+        _, mode = chunk_apply(sampler)
+        assert mode == "insert_batch"
+        ingestor = BatchIngestor(sampler, chunk_size=32)
+        assert ingestor.uses_fast_path
+
+
+class TestDeferredSkips:
+    def test_astronomic_sizes_skip_wholesale(self):
+        import math
+
+        reservoir = BatchedPredicateReservoir(2, rng=random.Random(3))
+        while math.isinf(reservoir._w):  # fill the sample so skips apply
+            reservoir.process_batch(ListBatch([1, 2]))
+
+        def must_not_build(arg):  # pragma: no cover - the point is it never runs
+            raise AssertionError("wholesale-skipped batches must never be built")
+
+        # Delta sizes are products of approximate counters, so they can
+        # exceed any machine word; Python ints carry them through the same
+        # wholesale-skip arithmetic as small sizes.
+        sizes = [2 ** 80] * 32
+        total_before = reservoir.items_total
+        batches_before = reservoir.batches_processed
+        reservoir._pending_skip = sum(sizes) + 5
+        reservoir.process_deferred_many(sizes, must_not_build, sizes)
+        assert reservoir.items_total == total_before + sum(sizes)
+        assert reservoir.batches_processed == batches_before + len(sizes)
+        assert reservoir._pending_skip == 5
+
+    def test_negative_size_raises_before_mutation(self):
+        reservoir = BatchedPredicateReservoir(2, rng=random.Random(3))
+        sizes = [1] * 32 + [-1]
+        with pytest.raises(ValueError):
+            reservoir.process_deferred_many(
+                sizes, lambda size: ListBatch(range(size)), sizes
+            )
+        assert reservoir.items_total == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -367,3 +367,28 @@ class TestRecordedRouting:
         state["window"] = [(relation, row) for relation, row, _ in state["window"]]
         restored = RebalancingIngestor.from_snapshot(state)
         assert restored.plan() == reference
+
+
+class TestTakeLastAssignments:
+    def test_delivery_records_stream_order_assignments(self, line3_query):
+        ingestor = ShardedIngestor(
+            line3_query, k=10, num_shards=4, chunk_size=64, rng=random.Random(1)
+        )
+        chunk = uniform_stream(48, seed=4, domain=40)
+        ingestor.ingest_batch(chunk)
+        recorded = ingestor.take_last_assignments()
+        assert recorded is not None and len(recorded) == len(chunk)
+        for item, assignment in zip(chunk, recorded):
+            expected = ingestor.shard_of(item.relation, item.row)
+            assert assignment == (-1 if expected is None else expected)
+
+    def test_cleared_on_read_and_not_set_by_partition(self, line3_query):
+        ingestor = ShardedIngestor(
+            line3_query, k=10, num_shards=4, chunk_size=64, rng=random.Random(1)
+        )
+        chunk = uniform_stream(24, seed=5, domain=40)
+        ingestor.ingest_batch(chunk)
+        assert ingestor.take_last_assignments() is not None
+        assert ingestor.take_last_assignments() is None  # consumed
+        ingestor.partition(chunk)  # inspection, not delivery
+        assert ingestor.take_last_assignments() is None

@@ -36,7 +36,7 @@ from repro.relational.database import Database
 from repro.relational.join import count_results, join_results
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
-from repro.relational.stream import ColumnarChunk, as_relation_rows
+from repro.relational.stream import as_relation_rows
 from repro.stats.uniformity import result_key
 
 
@@ -217,11 +217,12 @@ def test_insert_only_paths_reject_stream_deletes():
     delete = StreamDelete("R", (1, 2))
     with pytest.raises(TypeError, match="TurnstileReservoirJoin"):
         as_relation_rows([delete])
-    with pytest.raises(TypeError):
-        ColumnarChunk.from_items([StreamTuple("R", (0, 0)), delete])
     sampler = ReservoirJoin(TWO, k=4, rng=random.Random(0))
     with pytest.raises(TypeError):
         sampler.insert_batch([delete])
+    with pytest.raises(TypeError):
+        sampler.insert_batch([StreamTuple("R", (0, 0)), delete])
+    assert sampler.tuples_processed == 0
 
 
 # ---------------------------------------------------------------------- #
