@@ -10,15 +10,11 @@ export PYTHONPATH
 test: unit docs-check
 
 # The CI smoke profile in one shot: tier-1 suite, executable docs, the
-# worker-pool IPC contract on both transports, the serving-layer slice
-# (gating: snapshot isolation is a correctness seam, not a perf knob), and
-# the statistical suites at the scaled-down REPRO_STAT_TRIALS=60 trial
-# counts (the whole thing finishes in well under three minutes).  The pool
-# module already runs as part of `unit`; the second pass pins the `pipe`
-# transport fallback, which the default-slab suite would otherwise never
-# exercise end to end.
+# serving-layer slice (gating: snapshot isolation is a correctness seam, not
+# a perf knob), and the statistical suites at the scaled-down
+# REPRO_STAT_TRIALS=60 trial counts (the whole thing finishes in well under
+# three minutes).
 test-smoke: unit docs-check
-	REPRO_POOL_TRANSPORT=pipe python -m pytest tests/test_pool.py tests/test_shard_ingest.py -q
 	python -m pytest tests/test_serving.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
 
@@ -78,6 +74,9 @@ bench-smoke:
 # A short run of the benchmark declared in BENCHMARK.json over all four
 # workloads.  It exits 1 only when one of the benchmark's own correctness
 # checks fails (samples against a reference replay of the stream); the
-# timings it prints are never gated.
+# timings it prints are never gated.  The traced pass installs every
+# per-layer patch in perfbench/tracing.py, so renaming a patched function
+# fails here instead of in the benchmark.
 perfbench-smoke:
 	python3 perfbench/run.py --all --seed 1 --seconds 3 --trace 0
+	python3 perfbench/run.py --workload served-sharded --seed 1 --seconds 3 --trace 1

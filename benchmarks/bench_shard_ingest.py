@@ -141,7 +141,7 @@ def run_sharded_parallel(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
     reported separately as ``pool_startup_seconds`` instead of being
     smeared into the per-stream wall clock the way the old spawn-per-call
     ``multiprocessing.Pool`` smeared it.  The timed region covers exactly
-    what repeats per stream: routing, scatter over the reusable slabs,
+    what repeats per stream: routing, scatter over the worker pipes,
     worker ingestion, and the final drain barrier.
     """
     ingestor = make_sharded(query)
@@ -153,7 +153,6 @@ def run_sharded_parallel(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
             "wall": wall,
             "startup": round(ingestor.pool_startup_seconds, 4),
             "busy": [round(b, 4) for b in stats["shard_busy_seconds"]],
-            "transport": stats["pool"]["transport"],
         }
     finally:
         ingestor.close_pool(sync=False)
@@ -242,7 +241,6 @@ def bench() -> Dict:
             "cpu_count": os.cpu_count(),
             "pool_startup_seconds": best_parallel["startup"],
             "worker_busy_seconds": best_parallel["busy"],
-            "transport": best_parallel["transport"],
             "overhead_over_serial_total": round(overhead, 2),
         },
     ]
@@ -277,7 +275,7 @@ def bench() -> Dict:
             "unsharded time because broadcast relations are replicated per "
             "shard. sharded_parallel_wall is a steady-state measurement of "
             "the persistent shard worker pool: the pool (one long-lived "
-            "process per shard, reusable shared-memory chunk slabs) is "
+            "process per shard, sub-chunks pickled over one pipe each) is "
             "started outside the timed region and its one-off spawn cost is "
             "reported as pool_startup_seconds; the timed region is route + "
             "scatter + worker ingestion + drain, which is what repeats per "

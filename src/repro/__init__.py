@@ -90,11 +90,11 @@ writer through snapshot-isolated, exactly-uniform epoch cuts taken at chunk
 boundaries — with per-subscriber predicate views and an asyncio front end
 (``ServerFrontend``) for bounded-staleness reader tasks.
 
-Long-running streams are durable: ``BatchIngestor``, ``ShardedIngestor``
-and ``FanoutIngestor`` expose ``save(path)`` / ``restore(path)`` — a
-versioned, checksummed checkpoint (reservoirs, stored relation state, exact
-RNG state) from which a fresh process resumes *bit-identically* to an
-uninterrupted run (see :mod:`repro.ingest.checkpoint`).
+Long-running streams are durable: every ingestor exposes ``save(path)`` /
+``restore(path)`` — the ingestor pickled whole (reservoirs, stored relation
+state, exact RNG state) in a versioned, checksummed file, from which a
+fresh process resumes *bit-identically* to an uninterrupted run (see
+:mod:`repro.ingest.checkpoint`).
 
 All modes draw from exactly the same join-result distribution;
 ``chunk_size=1`` makes the batched mode degenerate to per-tuple semantics.

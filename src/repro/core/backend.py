@@ -23,11 +23,10 @@ Three layers of service:
   multi-replica feature (sharding, rebalancing replays, fan-out) uses to
   split a master RNG into independent per-replica RNGs, so replica
   randomness is reproducible and never shared.
-* **Durability** (:func:`snapshot_backend`, :func:`restore_backend`) — the
-  one rule every checkpointing ingestor uses to capture and rebuild a
-  backend: the backend's own ``snapshot_state``/``from_snapshot``
-  capability when present, a generic whole-object pickle otherwise (see
-  :mod:`repro.ingest.checkpoint` for the file format on top).
+* **Durability** (:func:`snapshot_backend`, :func:`restore_backend`) — an
+  in-memory copy of any backend or ingestor: the object pickled whole, and
+  unpickled again (see :mod:`repro.ingest.checkpoint` for the file format
+  on top).
 
 :class:`PerTupleBatchMixin` is the shared fallback implementation of
 ``insert_batch`` for samplers without a structural bulk path (the
@@ -37,10 +36,9 @@ baselines): validate the whole chunk up front, then drive the per-tuple
 
 from __future__ import annotations
 
-import importlib
 import pickle
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Callable, Dict, Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..relational.stream import as_relation_rows, validated_items
 
@@ -82,15 +80,6 @@ class SamplerBackend(Protocol):
     ``spawn(rng)``
         Replica cloning: a fresh, empty, identically configured sampler
         driven by ``rng`` — what sharding and fan-out build replicas from.
-    ``snapshot_state()`` / ``restore_state(state)`` / ``from_snapshot(state)``
-        Durability: a versioned, self-describing snapshot of the backend's
-        complete resumable state (stored relation rows, reservoir contents,
-        the exact RNG state via ``random.Random.getstate()``), restorable
-        into a fresh identically configured instance — or, via the
-        ``from_snapshot`` classmethod, into an instance built *from* the
-        snapshot.  Backends without the capability still checkpoint through
-        the generic pickle fallback of :func:`snapshot_backend` (every
-        sampler in this repository is picklable end to end).
     """
 
     def insert(self, relation: str, row: Sequence) -> None: ...
@@ -104,7 +93,7 @@ class SamplerBackend(Protocol):
 class BackendCapabilities:
     """What :func:`probe_backend` found on one backend (immutable record)."""
 
-    __slots__ = ("insert", "insert_batch", "ingest_batch", "sample", "statistics", "index", "spawn", "snapshot")
+    __slots__ = ("insert", "insert_batch", "ingest_batch", "sample", "statistics", "index", "spawn")
 
     def __init__(self, backend) -> None:
         self.insert = callable(getattr(backend, "insert", None))
@@ -114,7 +103,6 @@ class BackendCapabilities:
         self.statistics = callable(getattr(backend, "statistics", None))
         self.index = getattr(backend, "index", None) is not None
         self.spawn = callable(getattr(backend, "spawn", None))
-        self.snapshot = callable(getattr(backend, "snapshot_state", None))
 
     def as_dict(self) -> Dict[str, bool]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -176,81 +164,20 @@ def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
     return fallback, "insert"
 
 
-def _class_path(obj) -> str:
-    """``module:QualName`` of an object's class, for snapshot self-description."""
-    cls = type(obj)
-    return f"{cls.__module__}:{cls.__qualname__}"
+def snapshot_backend(backend) -> bytes:
+    """One backend's complete resumable state: the object, pickled whole.
 
-
-def _load_class(path: str):
-    """Resolve a :func:`_class_path` string back to the class object."""
-    module_name, _, qualname = path.partition(":")
-    obj = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def snapshot_backend(backend) -> Dict[str, object]:
-    """One backend's complete resumable state as a self-describing record.
-
-    The durability half of the capability probe: backends exposing the
-    ``snapshot_state`` capability are captured through it (``codec:
-    'native'`` — a structured, versionable state dict); everything else
-    falls back to pickling the whole object (``codec: 'pickle'`` — every
-    sampler in this repository pickles end to end, including cached
-    projection getters).  The record carries the backend's class path so
-    :func:`restore_backend` needs nothing but the record.
+    Every sampler and ingestor in this repository pickles end to end; the
+    few fields that are not state (boundary hooks of observers, bound
+    delivery callables, worker threads and processes) are dropped or
+    rebuilt by the owning class's ``__getstate__``/``__setstate__``.
     """
-    snapshot = getattr(backend, "snapshot_state", None)
-    if callable(snapshot):
-        return {"codec": "native", "class": _class_path(backend), "state": snapshot()}
-    return {"codec": "pickle", "class": _class_path(backend), "state": pickle.dumps(backend)}
+    return pickle.dumps(backend, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def snapshot_transport(record: Dict[str, object]) -> bytes:
-    """Serialise a :func:`snapshot_backend` record for IPC transport.
-
-    The worker-pool runtime (:mod:`repro.ingest.pool`) captures backend
-    snapshots *inside* worker processes and ships them to the parent over a
-    pipe; the parent likewise ships initial replica state into freshly
-    spawned workers.  Those hops need one explicit serialisation point —
-    ``pickle`` at the highest protocol — rather than relying on whatever a
-    ``multiprocessing.Connection`` would implicitly do to a dict that may
-    itself contain pickled payloads.  The bytes round-trip exactly through
-    :func:`restore_transport`.
-    """
-    return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def restore_transport(payload: bytes) -> Dict[str, object]:
-    """Invert :func:`snapshot_transport` (the record is *not* restored into
-    a backend — hand it to :func:`restore_backend` for that)."""
-    return pickle.loads(payload)
-
-
-def restore_backend(record: Dict[str, object]):
-    """Rebuild a backend from a :func:`snapshot_backend` record.
-
-    ``codec='pickle'`` records simply unpickle.  ``codec='native'`` records
-    resolve the recorded class and hand the state to its ``from_snapshot``
-    classmethod (the constructor-shaped half of the snapshot capability);
-    a native-capable class without ``from_snapshot`` is a protocol
-    violation and raises ``TypeError``.
-    """
-    codec = record["codec"]
-    if codec == "pickle":
-        return pickle.loads(record["state"])
-    if codec != "native":
-        raise ValueError(f"unknown backend snapshot codec {codec!r}")
-    cls = _load_class(record["class"])
-    from_snapshot = getattr(cls, "from_snapshot", None)
-    if not callable(from_snapshot):
-        raise TypeError(
-            f"{record['class']} produced a native snapshot but does not "
-            "expose the from_snapshot restoration classmethod"
-        )
-    return from_snapshot(record["state"])
+def restore_backend(blob: bytes):
+    """Rebuild a backend from a :func:`snapshot_backend` blob."""
+    return pickle.loads(blob)
 
 
 def derive_seed(rng: random.Random) -> int:
@@ -322,7 +249,5 @@ __all__ = [
     "derive_seed",
     "snapshot_backend",
     "restore_backend",
-    "snapshot_transport",
-    "restore_transport",
     "PerTupleBatchMixin",
 ]

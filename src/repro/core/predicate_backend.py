@@ -34,7 +34,6 @@ apply.
 
 from __future__ import annotations
 
-import pickle
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +51,7 @@ class PredicateStreamSampler:
         Reservoir size (uniform sample of the *real* items seen so far).
     predicate:
         ``θ``; evaluated on the single value of each row.  Must be picklable
-        for the checkpoint capability (module-level functions and plain
+        for checkpoints (module-level functions and plain
         callable classes such as
         :class:`~repro.workloads.strings.EditDistancePredicate` are; lambdas
         are not).
@@ -169,48 +168,6 @@ class PredicateStreamSampler:
             relation=self.relation,
             attribute=self.attribute,
         )
-
-    # ------------------------------------------------------------------ #
-    # Durability (the snapshot capability)
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """Complete resumable state: reservoir contents, the running ``w``,
-        the exact RNG state, and the (pickled) predicate."""
-        reservoir = self.reservoir
-        return {
-            "k": reservoir.k,
-            "relation": self.relation,
-            "attribute": self.attribute,
-            "predicate": pickle.dumps(reservoir.predicate),
-            "sample": list(reservoir._sample),
-            "w": reservoir._w,
-            "stops": reservoir.stops,
-            "real_stops": reservoir.real_stops,
-            "rng": reservoir._rng.getstate(),
-            "tuples_processed": self.tuples_processed,
-            "chunks_processed": self.chunks_processed,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "PredicateStreamSampler":
-        """Rebuild an adapter that resumes bit-identically *under the same
-        chunking* (see the module docstring for why chunking matters)."""
-        sampler = cls(
-            state["k"],
-            pickle.loads(state["predicate"]),
-            rng=random.Random(),  # throwaway; exact state restored below
-            relation=state["relation"],
-            attribute=state["attribute"],
-        )
-        reservoir = sampler.reservoir
-        reservoir._sample = list(state["sample"])
-        reservoir._w = state["w"]
-        reservoir.stops = state["stops"]
-        reservoir.real_stops = state["real_stops"]
-        reservoir._rng.setstate(state["rng"])
-        sampler.tuples_processed = state["tuples_processed"]
-        sampler.chunks_processed = state["chunks_processed"]
-        return sampler
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -67,7 +67,8 @@ import heapq
 import random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..relational.join import count_results, delta_counter
+# count_results: perfbench/tracing.py patches this module's name for the per-layer split.
+from ..relational.join import count_results, delta_counter  # noqa: F401
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
 from ..relational.stream import StreamDelete, StreamTuple
@@ -124,7 +125,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
         super().__init__(
             query, k, rng=rng, grouping=grouping, foreign_key=False, maintain_root=True
         )
-        # spawn()/from_snapshot() rebuild through this; foreign_key and
+        # spawn() rebuilds through this; foreign_key and
         # maintain_root are forced by the constructor, so only grouping is a
         # free parameter.
         self._config = {"grouping": grouping}
@@ -347,47 +348,11 @@ class TurnstileReservoirJoin(ReservoirJoin):
         self.reservoir.rebase_population(live, population)
 
     # ------------------------------------------------------------------ #
-    # Replication and durability
+    # Replication
     # ------------------------------------------------------------------ #
     def spawn(self, rng: Optional[random.Random] = None) -> "TurnstileReservoirJoin":
         """A fresh, empty, identically configured turnstile replica."""
         return type(self)(self.original_query, self.k, rng=rng, **self._config)
-
-    def snapshot_state(self) -> Dict[str, object]:
-        state = super().snapshot_state()
-        # Insertion order, not sorted: rows may mix None/str/int in a column.
-        state["pending_tombstones"] = [
-            [relation, list(row), count]
-            for (relation, row), count in self._pending.items()
-        ]
-        state["population"] = self._population
-        state["turnstile_counters"] = {
-            "deletes_applied": self.deletes_applied,
-            "annihilations": self.annihilations,
-            "evictions": self.evictions,
-            "refills": self.refills,
-        }
-        return state
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        super().restore_state(state)
-        self._pending = {
-            (relation, tuple(row)): count
-            for relation, row, count in state.get("pending_tombstones", [])
-        }
-        self._pending_total = sum(self._pending.values())
-        self._delta_counters = {}
-        population = state.get("population")
-        self._population = (
-            population
-            if population is not None
-            else count_results(self.query, self.index.database)
-        )
-        counters = state.get("turnstile_counters", {})
-        self.deletes_applied = counters.get("deletes_applied", 0)
-        self.annihilations = counters.get("annihilations", 0)
-        self.evictions = counters.get("evictions", 0)
-        self.refills = counters.get("refills", 0)
 
     # ------------------------------------------------------------------ #
     # Statistics
@@ -593,78 +558,13 @@ class WindowedSampler:
         return self
 
     # ------------------------------------------------------------------ #
-    # Replication and durability
+    # Replication
     # ------------------------------------------------------------------ #
     def spawn(self, rng: Optional[random.Random] = None) -> "WindowedSampler":
         """A fresh, empty, identically configured windowed replica."""
         return type(self)(
             self.original_query, self.k, self.window, rng=rng, **self._config
         )
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """Complete resumable state: inner sampler plus the window clock.
-
-        Restoring and continuing is bit-identical to never having paused —
-        the admission log, stamps, clock and watermark all ride along.
-        """
-        return {
-            "kind": "windowed",
-            "window": self.window,
-            "mode": self.mode,
-            "clock": self._clock,
-            "watermark": self._watermark,
-            # Insertion order, not sorted: rows may mix None/str/int in a column.
-            "stamps": [
-                [relation, list(row), stamp]
-                for (relation, row), stamp in self._stamps.items()
-            ],
-            # The heap array is serialized verbatim (it is a valid heap in
-            # this order), so a restore continues bit-identically.
-            "log": [
-                [stamp, seq, relation, list(row)]
-                for stamp, seq, relation, row in self._log
-            ],
-            "log_seq": self._log_seq,
-            "expirations": self.expirations,
-            "inner": self._inner.snapshot_state(),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        if state.get("kind") != "windowed":
-            raise ValueError("not a WindowedSampler snapshot")
-        if state["window"] != self.window or state["mode"] != self.mode:
-            raise ValueError(
-                "snapshot window configuration "
-                f"({state['window']}, {state['mode']!r}) does not match this "
-                f"sampler ({self.window}, {self.mode!r})"
-            )
-        self._inner.restore_state(state["inner"])
-        self._clock = state["clock"]
-        self._watermark = state["watermark"]
-        self._stamps = {
-            (relation, tuple(row)): stamp
-            for relation, row, stamp in state["stamps"]
-        }
-        self._log = [
-            (stamp, seq, relation, tuple(row))
-            for stamp, seq, relation, row in state["log"]
-        ]
-        self._log_seq = state["log_seq"]
-        self.expirations = state["expirations"]
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "WindowedSampler":
-        """Rebuild a windowed sampler from a :meth:`snapshot_state` snapshot."""
-        inner = state["inner"]
-        sampler = cls(
-            inner["query"],
-            inner["k"],
-            state["window"],
-            mode=state["mode"],
-            grouping=inner["config"].get("grouping", False),
-        )
-        sampler.restore_state(state)
-        return sampler
 
     # ------------------------------------------------------------------ #
     # Statistics

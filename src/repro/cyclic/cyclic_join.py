@@ -23,7 +23,6 @@ sampled.  Total running time is ``O(N^w log N + k log N log(N/k))`` where
 
 from __future__ import annotations
 
-import pickle
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -353,88 +352,6 @@ class CyclicReservoirJoin:
         return CyclicReservoirJoin(
             self.query, self.k, rng=rng, ghd=self.ghd, grouping=self._grouping
         )
-
-    # ------------------------------------------------------------------ #
-    # Durability (the SamplerBackend snapshot capability)
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """The sampler's complete resumable state as a structured dict.
-
-        The cyclic pipeline is three layers of stored relation state — the
-        seen base tuples, each bag's materialised sub-join inputs, and the
-        bag tuples inside the acyclic index (whose amortised ``c̃nt``
-        over-approximations are history-dependent, so none of this can be
-        rebuilt by replaying rows) — plus the reservoir and the RNG.  The
-        three layers are serialised inertly *together* (one pickle, so any
-        shared substructure stays shared on restore); later ingestion into
-        this sampler never mutates an already-taken snapshot.  The GHD
-        rides along, keeping hand-crafted decompositions intact.
-        """
-        return {
-            "query": self.query,
-            "k": self.k,
-            "ghd": self.ghd,
-            "config": {"grouping": self._grouping},
-            "state": pickle.dumps((self.index, self._seen, self._bag_databases)),
-            "reservoir": self.reservoir.snapshot_state(),
-            "rng": self._rng.getstate(),
-            "counters": {
-                "tuples_processed": self.tuples_processed,
-                "duplicates_ignored": self.duplicates_ignored,
-                "bag_tuples_inserted": self.bag_tuples_inserted,
-            },
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Load a :meth:`snapshot_state` snapshot into this (empty) sampler.
-
-        Same contract as ``ReservoirJoin.restore_state``: the sampler must
-        be freshly constructed (``RuntimeError`` otherwise) with a matching
-        configuration (``ValueError`` otherwise), and afterwards continues
-        the stream exactly where the snapshot left off.  The precomputed
-        per-(bag, relation) enumeration plans are rebuilt against the
-        restored bag databases, so the bulk path keeps enumerating exactly
-        as before the checkpoint.
-        """
-        if self.tuples_processed or self.index.size:
-            raise RuntimeError(
-                "restore_state requires a freshly constructed sampler; this "
-                f"one has already absorbed {self.tuples_processed} tuples"
-            )
-        if state["k"] != self.k:
-            raise ValueError(
-                f"snapshot was taken with k={state['k']}, but this sampler "
-                f"has k={self.k}"
-            )
-        index, seen, bag_databases = pickle.loads(state["state"])
-        if set(index.query.relation_names) != set(self.bag_query.relation_names):
-            raise ValueError(
-                "snapshot bag set does not match this sampler's GHD "
-                f"({sorted(index.query.relation_names)} vs "
-                f"{sorted(self.bag_query.relation_names)})"
-            )
-        self.index = index
-        self._seen = seen
-        self._bag_databases = bag_databases
-        # The delta plans hold direct references into the bag databases;
-        # rebuild them so they enumerate against the restored state.
-        self._delta_plans = {
-            name: [self._build_delta_plan(bag_name, name) for bag_name in bags]
-            for name, bags in self._touching.items()
-        }
-        self.reservoir.restore_state(state["reservoir"])
-        self._rng.setstate(state["rng"])
-        counters = state["counters"]
-        self.tuples_processed = counters["tuples_processed"]
-        self.duplicates_ignored = counters["duplicates_ignored"]
-        self.bag_tuples_inserted = counters["bag_tuples_inserted"]
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "CyclicReservoirJoin":
-        """Rebuild a sampler from a :meth:`snapshot_state` snapshot."""
-        sampler = cls(state["query"], state["k"], ghd=state["ghd"], **state["config"])
-        sampler.restore_state(state)
-        return sampler
 
     # ------------------------------------------------------------------ #
     # Results and statistics

@@ -450,7 +450,6 @@ class ModeMatrix:
             "bit_identical": True,
             "shard_loads": list(serial.shard_loads()),
             "parallel_wall_seconds": statistics.get("parallel_wall_seconds"),
-            "pool_transport": statistics.get("pool", {}).get("transport"),
         }
         p_value = None
         if cfg.parallel_trials >= MIN_CHI_TRIALS:

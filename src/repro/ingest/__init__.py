@@ -57,9 +57,10 @@ worker-pool transport ships ``StreamDelete`` items through unchanged.  The
 boundary guarantee becomes: exactly uniform over the *surviving* join
 results of the prefix.
 
-Chunk boundaries are also the durability points: the engine-backed
-ingestors checkpoint (``save(path)``) and restore (``Ingestor.restore``)
-through the versioned file format of :mod:`repro.ingest.checkpoint`, with
+Chunk boundaries are also the durability points: every ingestor
+checkpoints (``save(path)``) and restores (``Ingestor.restore``) itself,
+pickled whole, through the versioned file format of
+:mod:`repro.ingest.checkpoint`, with
 bit-identical resumption — the restored run consumes exactly the random
 stream an uninterrupted run would have.
 """

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from ..core.backend import chunk_apply, restore_backend, snapshot_backend
+from ..core.backend import chunk_apply
 from ..relational.stream import StreamTuple, chunk_stream
-from .checkpoint import CODEC
+from .checkpoint import Checkpointable
 from .engine import DEFAULT_CHUNK_SIZE, EngineLane, IngestionEngine
 
 #: Alias of :func:`repro.relational.stream.chunk_stream`, the canonical
@@ -24,7 +24,7 @@ from .engine import DEFAULT_CHUNK_SIZE, EngineLane, IngestionEngine
 chunked = chunk_stream
 
 
-class BatchIngestor:
+class BatchIngestor(Checkpointable):
     """Drive a sampler with chunks of stream tuples.
 
     Parameters
@@ -90,46 +90,9 @@ class BatchIngestor:
         """
         return self._engine.add_boundary_hook(hook)
 
-    # ------------------------------------------------------------------ #
-    # Durability
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> dict:
-        """The ingestor's complete resumable state: the sampler (captured
-        via the :func:`~repro.core.backend.snapshot_backend` capability
-        probe) plus the engine accounting.  Also the ingestor's own
-        :class:`~repro.core.backend.SamplerBackend` snapshot capability, so
-        a ``BatchIngestor`` nested as a fan-out backend checkpoints along
-        with its host."""
-        return {
-            "backend": snapshot_backend(self.sampler),
-            "engine": self._engine.snapshot_state(),
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: dict) -> "BatchIngestor":
-        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot."""
-        ingestor = cls(
-            restore_backend(state["backend"]),
-            chunk_size=state["engine"]["chunk_size"],
-        )
-        ingestor._engine.restore_state(state["engine"])
-        return ingestor
-
-    def save(self, path: str) -> None:
-        """Write a checkpoint from which :meth:`restore` resumes bit for bit.
-
-        Call at a chunk boundary — which is everywhere except inside an
-        ``ingest_batch`` call — so the restored run re-chunks the remaining
-        stream exactly as an uninterrupted run would.
-        """
-        CODEC.dump(path, "batch", self.snapshot_state())
-
-    @classmethod
-    def restore(cls, path: str) -> "BatchIngestor":
-        """Rebuild a :meth:`save`d ingestor; the stream suffix continues
-        exactly where the checkpoint left off (same reservoir, same RNG
-        stream, same counters)."""
-        return cls.from_snapshot(CODEC.load(path, expected_kind="batch")["state"])
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._engine.lanes[0].apply, self._mode = chunk_apply(self.sampler)
 
     def statistics(self) -> dict:
         """Ingestion counters merged with the sampler's own statistics."""

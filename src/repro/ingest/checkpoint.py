@@ -2,19 +2,19 @@
 
 The paper's samplers are defined over unbounded insert-only streams, but a
 process hosting one is not unbounded: it gets rescheduled, upgraded, killed.
-This module is the seam's durability layer — everything an ingestor needs to
-resume a stream *bit for bit* goes through one versioned, checksummed file
-format, and everything backend-specific goes through the
-:func:`~repro.core.backend.snapshot_backend` capability probe (native
-``snapshot_state`` when the sampler offers it, whole-object pickle
-otherwise).
+This module is the seam's durability layer.  A checkpoint is the ingestor
+itself, pickled whole, inside one versioned, checksummed file.  Every
+ingestor's ``save``/``restore`` is :class:`Checkpointable`'s pair over
+:data:`CODEC`; the few fields that are not state (boundary hooks of outside
+observers, bound delivery callables, worker threads and processes) are
+dropped or rebuilt by the owning class's ``__getstate__``/``__setstate__``.
 
 The headline invariant — asserted per backend kind by property-harness
 section (e) in ``tests/statistical/test_properties.py`` — is **bit-identical
 resumption**: ingest a prefix, ``save(path)``, restore in a fresh process,
 ingest the suffix, and the final reservoir equals an uninterrupted run under
-the same seed.  It holds because a checkpoint captures the three things
-future behaviour depends on:
+the same seed.  It holds because the pickled object graph carries the three
+things future behaviour depends on:
 
 * the stored relation state, *including* the maintained index structures
   (their amortised ``c̃nt`` over-approximations are history-dependent, so
@@ -22,11 +22,10 @@ future behaviour depends on:
   re-amortise differently and consume different randomness downstream),
 * the reservoir state (contents, running ``w``, the pending skip that may
   span chunk boundaries),
-* the exact RNG state (``random.Random.getstate()``), at every level that
-  owns randomness (sampler replicas, the sharded master RNG, the fan-out
-  master RNG).
+* the exact RNG state of every ``random.Random`` the graph holds (sampler
+  replicas, the sharded master RNG, the fan-out master RNG).
 
-File format (version 1)
+File format (version 2)
 -----------------------
 ::
 
@@ -35,20 +34,21 @@ File format (version 1)
     8       4     format version (big-endian)
     12      8     payload length in bytes (big-endian)
     20      32    SHA-256 digest of the payload
-    52      ...   payload: pickled state dict
+    52      ...   payload: the pickled ingestor
 
 The digest turns silent truncation and bit rot into
 :class:`CheckpointCorruptError` instead of an unpickling crash (or, worse, a
 quietly wrong reservoir); the version field turns a format change into
-:class:`CheckpointVersionError` instead of a guessing game.  The payload
-always carries the saving ingestor's *kind* (``"batch"``, ``"sharded"``,
-``"fanout"``), and each ``restore`` entry point refuses a wrong kind — or a
-mismatched topology, e.g. a different shard count — with
-:class:`CheckpointMismatchError` rather than silently rehashing state.
+:class:`CheckpointVersionError` instead of a guessing game.  Version 1 (a
+hand-built state dict per ingestor) is refused.  Each ``restore`` entry
+point refuses a file holding another class — or a mismatched topology,
+e.g. a different shard count — with :class:`CheckpointMismatchError`
+rather than silently rehashing state.
 
-Checkpoints are trusted inputs: the payload is a pickle, so only load files
-you (or your infrastructure) wrote — the same trust model as every pickle-
-based snapshot format.
+Trust boundary: ``restore`` unpickles the payload, and unpickling executes
+whatever callables the pickle names.  The digest detects corruption, not
+tampering — anyone who can write the file can recompute it.  Only load
+checkpoints that you (or your infrastructure) wrote.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ MAGIC = b"RPROCKPT"
 
 #: Current checkpoint format version.  Bump on any incompatible change to
 #: the payload layout; readers refuse versions they do not know.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Header layout after the magic: format version, payload length.
 _HEADER = struct.Struct(">IQ")
@@ -87,11 +87,11 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointMismatchError(CheckpointError):
     """The checkpoint is valid but does not fit the requested restore —
-    wrong ingestor kind, different shard count, different topology."""
+    wrong ingestor class, different shard count, different topology."""
 
 
 class CheckpointCodec:
-    """Versioned serialisation of ingestor state to and from checkpoint files.
+    """Versioned serialisation of an ingestor to and from checkpoint files.
 
     One codec instance (the module-level :data:`CODEC`) is shared by every
     ingestor's ``save``/``restore``; constructing one with a different
@@ -104,16 +104,14 @@ class CheckpointCodec:
     # ------------------------------------------------------------------ #
     # Writing
     # ------------------------------------------------------------------ #
-    def dump(self, path: str, kind: str, state: Dict[str, object]) -> None:
-        """Write one checkpoint: ``state`` tagged with the ingestor ``kind``.
+    def dump(self, path: str, obj) -> None:
+        """Write one checkpoint holding ``obj``, pickled whole.
 
         The write goes through a same-directory temporary file and an
         atomic :func:`os.replace`, so a crash mid-save leaves the previous
         checkpoint intact instead of a truncated one.
         """
-        payload = pickle.dumps(
-            {"kind": kind, "state": state}, protocol=pickle.HIGHEST_PROTOCOL
-        )
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         blob = b"".join(
             (
                 MAGIC,
@@ -143,14 +141,14 @@ class CheckpointCodec:
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
-    def load(self, path: str, expected_kind: Optional[str] = None) -> Dict[str, object]:
-        """Read and verify one checkpoint; returns the saved state dict.
+    def load(self, path: str, expected_type: Optional[type] = None):
+        """Read and verify one checkpoint; returns the saved object.
 
         Raises :class:`CheckpointCorruptError` for anything that is not a
         well-formed, checksum-clean checkpoint, :class:`CheckpointVersionError`
         for an unknown format version, and :class:`CheckpointMismatchError`
-        when ``expected_kind`` is given and the file was saved by a
-        different ingestor kind.
+        when ``expected_type`` is given and the file holds an object of
+        another class.
         """
         with open(path, "rb") as handle:
             data = handle.read()
@@ -179,21 +177,40 @@ class CheckpointCodec:
         if hashlib.sha256(payload).digest() != digest:
             raise CheckpointCorruptError(f"{path}: payload checksum mismatch")
         try:
-            document = pickle.loads(payload)
+            obj = pickle.loads(payload)
         except Exception as error:  # unpicklable garbage that passed the digest
             raise CheckpointCorruptError(f"{path}: payload does not unpickle: {error!r}")
-        if not isinstance(document, dict) or "kind" not in document or "state" not in document:
-            raise CheckpointCorruptError(f"{path}: payload is not a checkpoint document")
-        if expected_kind is not None and document["kind"] != expected_kind:
+        if expected_type is not None and not isinstance(obj, expected_type):
             raise CheckpointMismatchError(
-                f"{path}: checkpoint was saved by a {document['kind']!r} "
-                f"ingestor and cannot restore a {expected_kind!r} ingestor"
+                f"{path}: checkpoint holds a {type(obj).__name__} and cannot "
+                f"restore a {expected_type.__name__}"
             )
-        return document
+        return obj
 
 
 #: The shared codec every ingestor's ``save``/``restore`` goes through.
 CODEC = CheckpointCodec()
+
+
+class Checkpointable:
+    """The one ``save``/``restore`` pair: the checkpoint is ``self``, pickled."""
+
+    def save(self, path: str) -> None:
+        """Write a checkpoint from which :meth:`restore` resumes bit for bit.
+
+        Call at a chunk boundary — which is everywhere except inside an
+        ``ingest_batch`` call — so the restored run re-chunks the remaining
+        stream exactly as an uninterrupted run would.
+        """
+        CODEC.dump(path, self)
+
+    @classmethod
+    def restore(cls, path: str):
+        """Rebuild a :meth:`save`d ingestor; the stream suffix continues
+        exactly where the checkpoint left off (same reservoir, same RNG
+        stream, same counters).  A file holding another class raises
+        :class:`CheckpointMismatchError`."""
+        return CODEC.load(path, cls)
 
 
 class PeriodicCheckpointer:
@@ -294,5 +311,6 @@ __all__ = [
     "CheckpointMismatchError",
     "CheckpointCodec",
     "CODEC",
+    "Checkpointable",
     "PeriodicCheckpointer",
 ]

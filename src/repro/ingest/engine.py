@@ -89,6 +89,16 @@ class EngineLane:
         self.chunks_applied = 0
         self.tuples_applied = 0
 
+    # ``apply`` is bound to the owner's backend (sometimes as a closure), so
+    # a pickled lane carries only its counters; the owning ingestor's
+    # ``__setstate__`` binds ``apply`` again.
+    def __getstate__(self):
+        return self.name, self.chunks_applied, self.tuples_applied
+
+    def __setstate__(self, state) -> None:
+        self.name, self.chunks_applied, self.tuples_applied = state
+        self.apply = None
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EngineLane({self.name!r}, chunks={self.chunks_applied})"
 
@@ -139,6 +149,9 @@ class IngestionEngine:
         self.chunk_size = chunk_size
         self.router = router
         self.after_chunk: List[Callable] = list(after_chunk)
+        # The owner's own hooks come first; the rest were registered through
+        # add_boundary_hook by outside observers (see __getstate__).
+        self._own_hooks = len(self.after_chunk)
         self.batches_ingested = 0
         self.tuples_ingested = 0
         self.route_seconds = 0.0
@@ -168,7 +181,8 @@ class IngestionEngine:
         monitors.  Hooks run in registration order, after the chunk has been
         fully dispatched; a hook that raises aborts the ``ingest_batch``
         call (the chunk itself is already absorbed).  Returns ``hook`` so it
-        can be registered inline.
+        can be registered inline.  A pickled copy of the engine (a
+        checkpoint, a served cut) does not carry hooks registered here.
         """
         self.after_chunk.append(hook)
         return hook
@@ -242,50 +256,14 @@ class IngestionEngine:
     # ------------------------------------------------------------------ #
     # Durability
     # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> dict:
-        """The engine's resumable accounting: chunk counters, lane layout,
-        per-lane delivery counters, and the timing accumulators (the
-        critical path included).  Lane ``apply`` callables are *not*
-        captured — a restore rebuilds the lanes from restored backends and
-        then loads this state on top.
-        """
-        return {
-            "chunk_size": self.chunk_size,
-            "batches_ingested": self.batches_ingested,
-            "tuples_ingested": self.tuples_ingested,
-            "route_seconds": self.route_seconds,
-            "critical_path_seconds": self.critical_path_seconds,
-            "lane_busy_seconds": list(self.lane_busy_seconds),
-            "lanes": [
-                {
-                    "name": lane.name,
-                    "chunks_applied": lane.chunks_applied,
-                    "tuples_applied": lane.tuples_applied,
-                }
-                for lane in self.lanes
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Load a :meth:`snapshot_state` snapshot into this engine.
-
-        The lane layout must match the snapshot (same count — the lanes
-        were rebuilt from the same checkpoint), otherwise ``ValueError``.
-        """
-        if len(state["lanes"]) != len(self.lanes):
-            raise ValueError(
-                f"engine snapshot has {len(state['lanes'])} lanes, but this "
-                f"engine has {len(self.lanes)}"
-            )
-        self.chunk_size = state["chunk_size"]
-        self.batches_ingested = state["batches_ingested"]
-        self.tuples_ingested = state["tuples_ingested"]
-        self.route_seconds = state["route_seconds"]
-        self.critical_path_seconds = state["critical_path_seconds"]
-        self.lane_busy_seconds[:] = state["lane_busy_seconds"]
-        for lane, entry in zip(self.lanes, state["lanes"]):
-            lane.chunks_applied = entry["chunks_applied"]
-            lane.tuples_applied = entry["tuples_applied"]
+    def __getstate__(self) -> dict:
+        """Pickle without the hooks outside observers registered through
+        :meth:`add_boundary_hook` (a server's epoch counter, a periodic
+        checkpointer): they watch this live object, not a restored copy.
+        The owner's own hooks are kept, in order."""
+        state = self.__dict__.copy()
+        state["after_chunk"] = self.after_chunk[: self._own_hooks]
+        return state
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -70,9 +70,9 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from ..core.backend import chunk_apply, derive_seed, restore_backend, snapshot_backend
+from ..core.backend import chunk_apply, derive_seed
 from ..relational.stream import StreamTuple
-from .checkpoint import CODEC
+from .checkpoint import Checkpointable
 from .engine import DEFAULT_CHUNK_SIZE, SKIPPED, EngineLane, IngestionEngine
 
 
@@ -98,8 +98,17 @@ class _BackendRecord:
         self.error: Optional[Exception] = None
         self.chunks_rejected = 0
 
+    # ``apply`` may be chunk_apply's per-tuple closure: probe it again on load.
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name != "apply"}
 
-class FanoutIngestor:
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.apply, _ = chunk_apply(self.backend)
+
+
+class FanoutIngestor(Checkpointable):
     """Deliver every chunk of one stream pass to ``M`` registered backends.
 
     Parameters
@@ -327,18 +336,16 @@ class FanoutIngestor:
     # ------------------------------------------------------------------ #
     # Durability
     # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """The fan-out's complete resumable state: one sub-checkpoint per
-        registered backend (in registration order, each keyed by its name
-        and recorded :meth:`backend_seed`), the master RNG state, and the
-        engine-level delivery accounting.
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the fan-out: every backend with its recorded name and
+        :meth:`backend_seed`, the master RNG (later registrations draw the
+        seeds an uninterrupted run would have drawn) and the engine-level
+        delivery accounting.
 
         Every backend must be healthy: after a failure the failed backend's
         state may be mid-chunk and the healthy backends have seen a
         different prefix than it has, so nothing resumable exists —
-        ``RuntimeError``.  Also the fan-out's own snapshot capability, so a
-        fan-out nested inside another fan-out checkpoints along with its
-        host.
+        ``RuntimeError``.
         """
         if self._poisoned is not None or any(
             record.error is not None for record in self._records.values()
@@ -350,56 +357,12 @@ class FanoutIngestor:
                 f"cannot checkpoint a fan-out with failed backends {failed}; "
                 "a checkpoint must capture a consistent chunk boundary"
             )
-        return {
-            "chunk_size": self.chunk_size,
-            "on_error": self.on_error,
-            "rng": self._rng.getstate(),
-            "started": self._started,
-            "engine": self._engine.snapshot_state(),
-            "backends": [
-                {
-                    "name": name,
-                    "seed": self._records[name].seed,
-                    "chunks_rejected": self._records[name].chunks_rejected,
-                    "snapshot": snapshot_backend(self._records[name].backend),
-                }
-                for name in self._order
-            ],
-        }
+        return self.__dict__
 
-    def save(self, path: str) -> None:
-        """Write a checkpoint of :meth:`snapshot_state` (call at a chunk
-        boundary)."""
-        CODEC.dump(path, "fanout", self.snapshot_state())
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "FanoutIngestor":
-        """Rebuild a fan-out from a :meth:`snapshot_state` snapshot.
-
-        Each backend is rebuilt from its sub-checkpoint and re-admitted
-        under its recorded name and derived seed, so :meth:`backend_seed`
-        keeps certifying standalone reproducibility and the master RNG
-        continues exactly where the checkpoint left it (later
-        registrations would draw the seeds an uninterrupted run would have
-        drawn).
-        """
-        fan = cls(
-            chunk_size=state["chunk_size"],
-            rng=random.Random(),
-            on_error=state["on_error"],
-        )
-        fan._rng.setstate(state["rng"])
-        for entry in state["backends"]:
-            fan._admit(entry["name"], restore_backend(entry["snapshot"]), entry["seed"])
-            fan._records[entry["name"]].chunks_rejected = entry["chunks_rejected"]
-        fan._engine.restore_state(state["engine"])
-        fan._started = state["started"]
-        return fan
-
-    @classmethod
-    def restore(cls, path: str) -> "FanoutIngestor":
-        """Rebuild a :meth:`save`d fan-out with every backend re-registered."""
-        return cls.from_snapshot(CODEC.load(path, expected_kind="fanout")["state"])
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        for name, lane in zip(self._order, self._engine.lanes):
+            lane.apply = self._lane_apply(self._records[name])
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -58,16 +58,27 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.backend import chunk_apply, restore_backend, snapshot_backend
+from ..core.backend import chunk_apply
 from ..relational.stream import StreamTuple, chunk_stream
 from .batch import DEFAULT_CHUNK_SIZE
-from .checkpoint import CODEC
+from .checkpoint import Checkpointable
 from .shard import ShardedIngestor
 
 #: Default bound on each worker queue, in chunks.
 DEFAULT_BUFFER_CHUNKS = 8
 
 _STOP = object()  # queue sentinel: worker shutdown
+
+#: The attributes an :class:`AsyncIngestor` pickles; the rest is rebuilt.
+_PICKLED = (
+    "target",
+    "chunk_size",
+    "buffer_chunks",
+    "chunks_submitted",
+    "tuples_submitted",
+    "producer_stall_seconds",
+    "max_queue_depth",
+)
 
 
 class _Worker:
@@ -103,7 +114,7 @@ class _Worker:
                 self.queue.task_done()
 
 
-class AsyncIngestor:
+class AsyncIngestor(Checkpointable):
     """Pipelined chunk ingestion behind bounded per-shard queues.
 
     Parameters
@@ -343,62 +354,33 @@ class AsyncIngestor:
     # ------------------------------------------------------------------ #
     # Durability
     # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """Drain, then capture the quiescent target plus pipeline counters.
+    def __getstate__(self) -> Dict[str, object]:
+        """Drain, then pickle the quiescent target plus pipeline counters.
 
         An async pipeline only has well-defined state at a chunk boundary —
         mid-flight, the workers hold sub-chunks the target has not absorbed.
         :meth:`drain` *is* the chunk boundary (and re-raises any pending
-        worker failure, so a poisoned pipeline refuses to checkpoint), after
-        which the target is captured through the same
-        :func:`~repro.core.backend.snapshot_backend` probe every other
-        ingestor uses.  The restored pipeline resumes the suffix
-        bit-identically: fresh workers are mere transport, all randomness
-        lives in the target.
+        worker failure, so a poisoned pipeline refuses to checkpoint).
+        Worker threads and boundary hooks are not state: the restored
+        pipeline builds fresh workers and resumes the suffix
+        bit-identically, because all randomness lives in the target.
         """
         self.drain()
-        return {
-            "chunk_size": self.chunk_size,
-            "buffer_chunks": self.buffer_chunks,
-            "target": snapshot_backend(self.target),
-            "chunks_submitted": self.chunks_submitted,
-            "tuples_submitted": self.tuples_submitted,
-            "producer_stall_seconds": self.producer_stall_seconds,
-            "max_queue_depth": self.max_queue_depth,
-            "worker_chunks_processed": [
-                worker.chunks_processed for worker in self._workers
-            ],
-        }
+        state = {name: getattr(self, name) for name in _PICKLED}
+        state["worker_chunks_processed"] = [
+            worker.chunks_processed for worker in self._workers
+        ]
+        return state
 
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "AsyncIngestor":
-        """Rebuild a pipeline (fresh workers, restored target) from a snapshot."""
-        ingestor = cls(
-            restore_backend(state["target"]),
-            chunk_size=state["chunk_size"],
-            buffer_chunks=state["buffer_chunks"],
-        )
-        ingestor.chunks_submitted = state["chunks_submitted"]
-        ingestor.tuples_submitted = state["tuples_submitted"]
-        ingestor.producer_stall_seconds = state["producer_stall_seconds"]
-        ingestor.max_queue_depth = state["max_queue_depth"]
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__init__(state["target"], state["chunk_size"], state["buffer_chunks"])
+        for name in _PICKLED:
+            setattr(self, name, state[name])
         # The worker topology is a function of the target type, so the
-        # counts line up; a changed topology simply starts fresh counters.
-        for worker, processed in zip(
-            ingestor._workers, state["worker_chunks_processed"]
-        ):
+        # counts line up.
+        for worker, processed in zip(self._workers, state["worker_chunks_processed"]):
             worker.chunks_processed = processed
-        return ingestor
-
-    def save(self, path: str) -> None:
-        """Drain, then write a checkpoint restorable via :meth:`restore`."""
-        CODEC.dump(path, "async", self.snapshot_state())
-
-    @classmethod
-    def restore(cls, path: str) -> "AsyncIngestor":
-        """Rebuild a :meth:`save`d pipeline; submitting the stream suffix
-        resumes bit-identically to an uninterrupted run."""
-        return cls.from_snapshot(CODEC.load(path, expected_kind="async")["state"])
+        self._chunks_at_last_boundary = self.chunks_submitted
 
     # ------------------------------------------------------------------ #
     # Results

@@ -10,20 +10,15 @@ executor literature (Photon-style long-lived workers, morsel-driven
 parallelism) actually describes:
 
 * **Long-lived workers.**  :class:`ShardWorkerPool` spawns one process per
-  shard, *once*.  Each worker rebuilds a live shard replica from the same
-  snapshot record a checkpoint would carry (:func:`repro.core.backend
-  .snapshot_backend` → :func:`restore_backend`), so worker-side state is
-  exactly the parent-side state — including the replica's RNG, bit for bit.
+  shard, *once*.  Each worker unpickles its shard's
+  :class:`~repro.ingest.batch.BatchIngestor` — the same pickle a checkpoint
+  holds — so worker-side state is exactly the parent-side state, including
+  the replica's RNG, bit for bit.
 * **Cheap chunk handoff.**  The parent routes each chunk with the same hash
   router as serial ingestion and ships each shard *the exact sub-chunk
-  sequence the serial path would have fed it*, over a persistent duplex
-  pipe per worker.  With the default ``slab`` transport the pickled
-  sub-chunk bytes travel through a reusable ``multiprocessing
-  .shared_memory`` block per worker (grown geometrically, never reallocated
-  per chunk) and only a tiny ``(seq, nbytes)`` header crosses the pipe; the
-  ``pipe`` transport sends the sub-chunk inline for platforms without
-  shared memory.  On the wire a sub-chunk is the list of ``(relation,
-  row)`` pairs every ingest seam normalises to (``as_relation_rows``) —
+  sequence the serial path would have fed it*, inline over a persistent
+  duplex pipe per worker.  On the wire a sub-chunk is the list of
+  ``(relation, row)`` pairs every ingest seam normalises to (``as_relation_rows``) —
   logically identical to the StreamTuples the serial lane sees, but far
   cheaper to pickle.  Workers apply each sub-chunk through the same
   ``BatchIngestor.ingest_batch`` call the serial per-shard lane uses, so a
@@ -44,20 +39,18 @@ parallelism) actually describes:
   prefixes can no longer produce a trustworthy merged sample.
 * **Live-state round trips.**  At any drain point the parent can pull each
   worker's reservoir + exact local count (for ``merged_sample`` against
-  live workers) or a full snapshot record + engine accounting (for
-  ``CheckpointCodec`` checkpoints taken *through* the pool) — the
-  capability the one-shot path structurally lacked.
+  live workers) or the worker's pickled per-shard ingestor (for
+  checkpoints taken *through* the pool) — the capability the one-shot path
+  structurally lacked.
 
-The pool is deliberately sampler-agnostic: anything whose snapshot record
-restores into a live sampler (native ``snapshot_state`` capability or the
-generic pickle fallback) can live in a worker — which is how cyclic
-replicas and custom factories ride the parallel path now.
+The pool is deliberately sampler-agnostic: anything picklable can live in a
+worker — which is how cyclic replicas and custom factories ride the
+parallel path now.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
 import traceback
@@ -65,30 +58,12 @@ import weakref
 from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # py3.8+; guarded so the pipe transport keeps working without it
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - all supported platforms have it
-    _shared_memory = None
-
-from ..core.backend import (
-    restore_backend,
-    restore_transport,
-    snapshot_backend,
-    snapshot_transport,
-)
 from ..relational.join import count_results
 from ..relational.stream import StreamDelete, StreamTuple, as_relation_rows
-
-#: Environment knob selecting the chunk transport: ``slab`` (shared-memory
-#: chunk slabs, the default) or ``pipe`` (inline pickles over the pipe).
-TRANSPORT_ENV = "REPRO_POOL_TRANSPORT"
 
 #: Maximum sub-chunks in flight per worker before ``submit`` blocks on acks
 #: — the same bounded-buffer backpressure idea as the async transport.
 DEFAULT_MAX_PENDING = 8
-
-#: Initial shared-memory slab size per worker; grown geometrically.
-_INITIAL_SLAB_BYTES = 1 << 18
 
 
 class WorkerCrashError(RuntimeError):
@@ -115,8 +90,8 @@ def _worker_statistics(sampler) -> Dict[str, object]:
 
 
 def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
-    """One worker's service loop: build the replica once, then serve
-    sub-chunks, state reads and snapshot requests until ``close``.
+    """One worker's service loop: unpickle the shard's ingestor once, then
+    serve sub-chunks, state reads and snapshot requests until ``close``.
 
     Every failure — a bad init payload, an exception inside
     ``ingest_batch`` — is reported back as an ``("error", traceback)``
@@ -124,17 +99,10 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
     everything but ``close`` with the same error (the parent raises it as
     :class:`WorkerCrashError`).
     """
-    from .batch import BatchIngestor  # deferred: avoid import cycles at fork
-
-    slab = None
-    sampler = None
     ingestor = None
     poisoned: Optional[str] = None
     try:
-        init = restore_transport(init_payload)
-        sampler = restore_backend(init["backend"])
-        ingestor = BatchIngestor(sampler, chunk_size=init["chunk_size"])
-        ingestor._engine.restore_state(init["engine"])
+        ingestor = pickle.loads(init_payload)
     except BaseException:
         poisoned = traceback.format_exc()
         try:
@@ -153,25 +121,8 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
             if poisoned is not None:
                 conn.send(("error", poisoned))
                 continue
-            if tag == "slab":
-                if slab is not None:
-                    slab.close()
-                # The parent owns the slab's lifetime (create + unlink).
-                # Attaching re-registers the name with the fork-shared
-                # resource tracker, but its cache is a set, so the parent's
-                # single unlink-time unregister still balances the books.
-                slab = _shared_memory.SharedMemory(name=message[1])
-            elif tag == "chunk":
-                seq = message[1]
-                if message[2] is None:  # pipe transport: part rides inline
-                    part = message[3]
-                else:  # slab transport: (seq, nbytes, None)
-                    nbytes = message[2]
-                    data = bytes(slab.buf[:nbytes])
-                    # Ack receipt *before* ingesting: the parent may now
-                    # rewrite the slab while this worker chews on the chunk.
-                    conn.send(("got", seq))
-                    part = pickle.loads(data)
+            if tag == "chunk":
+                seq, part = message[1], message[2]
                 # CPU time, not wall: on a box with fewer cores than
                 # workers, wall-in-worker counts time spent preempted and
                 # the busy sum comes out several times the true work (and
@@ -180,6 +131,7 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                 ingestor.ingest_batch(part)
                 conn.send(("ok", seq, time.process_time() - start))
             elif tag == "state":
+                sampler = ingestor.sampler
                 index = getattr(sampler, "index", None)
                 count = (
                     count_results(index.query, index.database)
@@ -199,11 +151,7 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                     )
                 )
             elif tag == "snapshot":
-                record = {
-                    "backend": snapshot_backend(sampler),
-                    "engine": ingestor._engine.snapshot_state(),
-                }
-                conn.send(("snapshot", snapshot_transport(record)))
+                conn.send(("snapshot", ingestor))  # the pipe pickles it
             else:
                 raise ValueError(f"unknown pool command {tag!r}")
         except BaseException:
@@ -212,8 +160,6 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                 conn.send(("error", poisoned))
             except (OSError, BrokenPipeError):
                 break
-    if slab is not None:
-        slab.close()
     try:
         conn.close()
     except OSError:  # pragma: no cover - already gone
@@ -227,26 +173,18 @@ class _WorkerHandle:
         "shard",
         "process",
         "conn",
-        "slab",
-        "retired_slabs",
-        "awaiting_got",
         "pending_acks",
         "delivered_tuples",
         "chunks_shipped",
-        "bytes_shipped",
     )
 
     def __init__(self, shard: int, process, conn) -> None:
         self.shard = shard
         self.process = process
         self.conn = conn
-        self.slab = None
-        self.retired_slabs: List = []
-        self.awaiting_got: Optional[int] = None
         self.pending_acks: List[int] = []
         self.delivered_tuples = 0
         self.chunks_shipped = 0
-        self.bytes_shipped = 0
 
 
 def _terminate_processes(processes) -> None:
@@ -262,43 +200,29 @@ def _terminate_processes(processes) -> None:
 
 
 class ShardWorkerPool:
-    """One long-lived worker process per shard, fed sub-chunks over
-    reusable IPC buffers.
+    """One long-lived worker process per shard, fed sub-chunks over a
+    persistent pipe.
 
     Parameters
     ----------
     worker_inits:
-        One init record per shard: ``{"backend": snapshot_backend(replica),
-        "engine": <BatchIngestor engine snapshot>, "chunk_size": int}``.
-        Workers rebuild their replica from the record, so a pool started
-        mid-stream (or from a restored checkpoint) continues exactly where
-        the parent-side replicas stood.
-    transport:
-        ``"slab"`` (shared-memory chunk slabs, default), ``"pipe"``
-        (inline pickles), or ``None`` to read :data:`TRANSPORT_ENV`.
+        One pickled :class:`~repro.ingest.batch.BatchIngestor` per shard.
+        Workers unpickle it, so a pool started mid-stream (or from a
+        restored checkpoint) continues exactly where the parent-side
+        replicas stood.
     max_pending:
         Sub-chunks in flight per worker before :meth:`submit` blocks.
     """
 
     def __init__(
         self,
-        worker_inits: Sequence[Dict[str, object]],
-        transport: Optional[str] = None,
+        worker_inits: Sequence[bytes],
         max_pending: int = DEFAULT_MAX_PENDING,
     ) -> None:
         if not worker_inits:
             raise ValueError("a worker pool needs at least one shard")
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
-        if transport is None:
-            transport = os.environ.get(TRANSPORT_ENV, "slab")
-        if transport not in ("slab", "pipe"):
-            raise ValueError(
-                f"unknown pool transport {transport!r}; choose 'slab' or 'pipe'"
-            )
-        if transport == "slab" and _shared_memory is None:  # pragma: no cover
-            transport = "pipe"
-        self.transport = transport
         self.max_pending = max_pending
         self._failure: Optional[WorkerCrashError] = None
         self._closed = False
@@ -308,25 +232,12 @@ class ShardWorkerPool:
         #: accounting deltas since the owner last folded them
         self._busy_delta: List[float] = [0.0] * len(worker_inits)
         self._critical_delta = 0.0
-        if self.transport == "slab":
-            # Start the resource tracker *before* forking: workers then
-            # inherit and share it, so their attach-time registrations land
-            # in the same (set-based, deduplicating) cache the parent's
-            # unlink-time unregister balances.  Forked without it, every
-            # worker lazily spawns a private tracker that later races the
-            # parent's unlink and warns about already-gone segments.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
         self.workers: List[_WorkerHandle] = []
         for shard, init in enumerate(worker_inits):
             parent_conn, child_conn = multiprocessing.Pipe()
             process = multiprocessing.Process(
                 target=_pool_worker_main,
-                args=(child_conn, shard, snapshot_transport(dict(init))),
+                args=(child_conn, shard, init),
                 name=f"shard-pool-{shard}",
                 daemon=True,
             )
@@ -366,22 +277,8 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------ #
     # Receive path
     # ------------------------------------------------------------------ #
-    def _flush_retired_slabs(self, handle: _WorkerHandle) -> None:
-        # Any message from the worker proves it processed everything sent
-        # before that message — including the ``slab`` switch — so retired
-        # slabs are detached on the worker side and safe to unlink.
-        for slab in handle.retired_slabs:
-            slab.close()
-            slab.unlink()
-        handle.retired_slabs.clear()
-
     def _dispatch(self, handle: _WorkerHandle, message: Tuple) -> None:
         tag = message[0]
-        self._flush_retired_slabs(handle)
-        if tag == "got":
-            if handle.awaiting_got == message[1]:
-                handle.awaiting_got = None
-            return
         if tag == "ok":
             seq, busy = message[1], message[2]
             if handle.pending_acks and handle.pending_acks[0] == seq:
@@ -464,23 +361,6 @@ class ShardWorkerPool:
                 )
             )
 
-    def _ensure_slab(self, handle: _WorkerHandle, need: int) -> None:
-        if handle.slab is not None and handle.slab.size >= need:
-            return
-        size = max(
-            _INITIAL_SLAB_BYTES,
-            need,
-            (handle.slab.size * 2) if handle.slab is not None else 0,
-        )
-        slab = _shared_memory.SharedMemory(create=True, size=size)
-        if handle.slab is not None:
-            # The worker may still be attached to (though done reading —
-            # `awaiting_got is None`) the old slab; unlink it only after
-            # the worker's next message proves the switch was processed.
-            handle.retired_slabs.append(handle.slab)
-        handle.slab = slab
-        self._send(handle, ("slab", slab.name))
-
     def _send_chunk(self, handle: _WorkerHandle, seq: int, part: List) -> None:
         # Normalise to the ``(relation, row)`` pairs every ingest seam
         # accepts (see ``chunk_apply``): the logical items are identical —
@@ -503,19 +383,7 @@ class ShardWorkerPool:
                 ]
             else:
                 part = as_relation_rows(part)
-        if self.transport == "slab":
-            # The slab is reusable only once the worker confirmed it read
-            # the previous payload out (the "got" ack, sent pre-ingest).
-            while handle.awaiting_got is not None:
-                self._receive(handle, block=True)
-            payload = pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL)
-            self._ensure_slab(handle, len(payload))
-            handle.slab.buf[: len(payload)] = payload
-            self._send(handle, ("chunk", seq, len(payload)))
-            handle.awaiting_got = seq
-            handle.bytes_shipped += len(payload)
-        else:
-            self._send(handle, ("chunk", seq, None, part))
+        self._send(handle, ("chunk", seq, part))
         handle.pending_acks.append(seq)
         handle.chunks_shipped += 1
         handle.delivered_tuples += len(part)
@@ -542,7 +410,7 @@ class ShardWorkerPool:
         shards = {shard for shard, part in enumerate(parts) if part}
         entry = {"remaining": shards, "max_busy": 0.0, "route": route_seconds}
         self._inflight[seq] = entry
-        # No defensive copy: both transports serialise the part before
+        # No defensive copy: the pipe serialises the part before
         # returning, so the caller may reuse its buffers immediately after.
         for shard in sorted(shards):
             self._send_chunk(self.workers[shard], seq, parts[shard])
@@ -557,7 +425,7 @@ class ShardWorkerPool:
         pool's chunk boundary.  Re-raises a sticky failure."""
         self._raise_pending()
         for handle in self.workers:
-            while handle.pending_acks or handle.awaiting_got is not None:
+            while handle.pending_acks:
                 self._receive(handle, block=True)
 
     def _request(self, handle: _WorkerHandle, message: Tuple, expect: str):
@@ -574,7 +442,6 @@ class ShardWorkerPool:
                     )
                 )
             if reply[0] == expect:
-                self._flush_retired_slabs(handle)
                 return reply[1]
             self._dispatch(handle, reply)
 
@@ -587,16 +454,14 @@ class ShardWorkerPool:
             self._request(handle, ("state",), "state") for handle in self.workers
         ]
 
-    def snapshots(self) -> List[Dict[str, object]]:
-        """Drain, then fetch each worker's full durable state: the replica's
-        :func:`~repro.core.backend.snapshot_backend` record plus its
-        ingestion-engine accounting — the same shape the serial
-        checkpointing path captures, so a checkpoint written through the
-        pool restores through the unchanged ``CheckpointCodec`` probe."""
+    def snapshots(self) -> List:
+        """Drain, then fetch a copy of each worker's per-shard
+        :class:`~repro.ingest.batch.BatchIngestor` (pickled over the pipe)
+        — replica and engine accounting, exactly what a serial checkpoint
+        pickles."""
         self.drain()
         return [
-            restore_transport(self._request(handle, ("snapshot",), "snapshot"))
-            for handle in self.workers
+            self._request(handle, ("snapshot",), "snapshot") for handle in self.workers
         ]
 
     # ------------------------------------------------------------------ #
@@ -623,11 +488,9 @@ class ShardWorkerPool:
     def statistics(self) -> Dict[str, object]:
         return {
             "workers": len(self.workers),
-            "transport": self.transport,
             "max_pending": self.max_pending,
             "chunks_shipped": [h.chunks_shipped for h in self.workers],
             "tuples_shipped": [h.delivered_tuples for h in self.workers],
-            "bytes_shipped": [h.bytes_shipped for h in self.workers],
             "poisoned": self.poisoned,
         }
 
@@ -648,7 +511,7 @@ class ShardWorkerPool:
         if self._failure is None:
             try:
                 for handle in self.workers:
-                    while handle.pending_acks or handle.awaiting_got is not None:
+                    while handle.pending_acks:
                         self._receive(handle, block=True)
             except WorkerCrashError:
                 pass
@@ -666,14 +529,6 @@ class ShardWorkerPool:
                 handle.conn.close()
             except OSError:  # pragma: no cover
                 pass
-            for slab in handle.retired_slabs:
-                slab.close()
-                slab.unlink()
-            handle.retired_slabs.clear()
-            if handle.slab is not None:
-                handle.slab.close()
-                handle.slab.unlink()
-                handle.slab = None
         self._finalizer.detach()
 
     def __enter__(self) -> "ShardWorkerPool":
@@ -685,13 +540,11 @@ class ShardWorkerPool:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "poisoned" if self.poisoned else ("closed" if self._closed else "live")
         return (
-            f"ShardWorkerPool(workers={len(self.workers)}, "
-            f"transport={self.transport!r}, {state})"
+            f"ShardWorkerPool(workers={len(self.workers)}, {state})"
         )
 
 
 __all__ = [
-    "TRANSPORT_ENV",
     "DEFAULT_MAX_PENDING",
     "WorkerCrashError",
     "ShardWorkerPool",

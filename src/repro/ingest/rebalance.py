@@ -66,7 +66,7 @@ from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
 from ..relational.stream import StreamTuple, as_relation_rows, chunk_stream
 from .batch import DEFAULT_CHUNK_SIZE
-from .checkpoint import CODEC
+from .checkpoint import Checkpointable
 from .shard import DEFAULT_NUM_SHARDS, ShardedIngestor, route_rows
 
 #: Hottest-shard load over mean load beyond which a partitioning counts as
@@ -270,7 +270,7 @@ def plan_partition(
     )
 
 
-class RebalancingIngestor:
+class RebalancingIngestor(Checkpointable):
     """A :class:`ShardedIngestor` that re-partitions itself when a shard runs hot.
 
     Drives an inner sharded ingestor chunk by chunk; at every chunk boundary
@@ -342,9 +342,9 @@ class RebalancingIngestor:
         self._chunks_since_plan = 0
         # Window entries are (relation, row, recorded_shard) triples: the
         # shard the live router assigned at delivery time (-1 = broadcast),
-        # or None when no valid record exists (legacy snapshots, entries
-        # invalidated by a rebalance — the partitioning they were routed
-        # under no longer holds).  Recorded entries let plan() score the
+        # or None when no valid record exists (entries invalidated by a
+        # rebalance — the partitioning they were routed under no longer
+        # holds).  Recorded entries let plan() score the
         # *current* partitioning without re-hashing the window.
         self._window: Deque[Tuple[str, tuple, Optional[int]]] = deque(
             maxlen=window_tuples
@@ -449,8 +449,8 @@ class RebalancingIngestor:
 
         Most window entries carry the shard the live router assigned at
         delivery time, so scoring the *current* partitioning is mostly a
-        counting pass; only entries without a valid record (legacy
-        snapshots, pre-rebalance leftovers) are re-hashed — through the
+        counting pass; only entries without a valid record (pre-rebalance
+        leftovers) are re-hashed — through the
         same :func:`~repro.ingest.shard.route_rows` rule, so the result is
         identical to simulating the whole window from scratch.
         """
@@ -596,95 +596,12 @@ class RebalancingIngestor:
     # ------------------------------------------------------------------ #
     # Durability
     # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """The wrapper's complete resumable state, monitor policy included.
-
-        The inner :class:`ShardedIngestor` rides its own native snapshot
-        (replica reservoirs, derived seeds, engine accounting); on top the
-        wrapper captures everything a future rebalance decision depends on —
-        the monitor configuration, the recent-delivery planning window
-        (duplicates included), the cooldown position, the master RNG state
-        (so replay replicas of a post-restore rebalance draw the seeds an
-        uninterrupted run would have drawn) and the rebalance history.
-        """
-        return {
-            "query": self.query,
-            "k": self.k,
-            "chunk_size": self.chunk_size,
-            "monitor": {
-                "threshold": self.monitor.threshold,
-                "min_tuples": self.monitor.min_tuples,
-                "cooldown_chunks": self.monitor.cooldown_chunks,
-            },
-            "candidate_attrs": self.candidate_attrs,
-            "allow_split": self.allow_split,
-            "max_shards": self.max_shards,
-            "improvement_factor": self.improvement_factor,
-            "rng": self._rng.getstate(),
-            "inner": self.inner.snapshot_state(),
-            "window": list(self._window),
-            "window_maxlen": self._window.maxlen,
-            "rebalances": list(self.rebalances),
-            "plans_attempted": self.plans_attempted,
-            "tuples_ingested": self.tuples_ingested,
-            "batches_ingested": self.batches_ingested,
-            "chunks_since_plan": self._chunks_since_plan,
-            "retired_critical_seconds": self._retired_critical_seconds,
-            "retired_partition_seconds": self._retired_partition_seconds,
-            "rebalance_seconds": self.rebalance_seconds,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "RebalancingIngestor":
-        """Rebuild a wrapper from a :meth:`snapshot_state` snapshot."""
-        inner = ShardedIngestor.from_snapshot(state["inner"])
-        ingestor = cls(
-            state["query"],
-            state["k"],
-            num_shards=inner.num_shards,
-            chunk_size=state["chunk_size"],
-            partition_attr=inner.partition_attr,
-            monitor=SkewMonitor(**state["monitor"]),
-            rng=random.Random(),  # throwaway; exact state restored below
-            candidate_attrs=state["candidate_attrs"],
-            allow_split=state["allow_split"],
-            max_shards=state["max_shards"],
-            improvement_factor=state["improvement_factor"],
-            window_tuples=state["window_maxlen"],
-        )
-        ingestor._rng.setstate(state["rng"])
-        ingestor.inner = inner
-        # Pre-routing-record snapshots stored bare (relation, row) pairs;
-        # normalise them to unrecorded triples (the planner re-hashes those).
-        ingestor._window = deque(
-            (
-                (entry[0], entry[1], entry[2] if len(entry) == 3 else None)
-                for entry in state["window"]
-            ),
-            maxlen=state["window_maxlen"],
-        )
-        ingestor.rebalances = list(state["rebalances"])
-        ingestor.plans_attempted = state["plans_attempted"]
-        ingestor.tuples_ingested = state["tuples_ingested"]
-        ingestor.batches_ingested = state["batches_ingested"]
-        ingestor._chunks_since_plan = state["chunks_since_plan"]
-        ingestor._retired_critical_seconds = state["retired_critical_seconds"]
-        ingestor._retired_partition_seconds = state["retired_partition_seconds"]
-        ingestor.rebalance_seconds = state["rebalance_seconds"]
-        return ingestor
-
-    def save(self, path: str) -> None:
-        """Write a checkpoint; call at a chunk boundary (anywhere outside
-        an :meth:`ingest_batch` call)."""
-        CODEC.dump(path, "rebalancing", self.snapshot_state())
-
-    @classmethod
-    def restore(cls, path: str) -> "RebalancingIngestor":
-        """Rebuild a :meth:`save`d wrapper; the stream suffix resumes bit
-        for bit — including any rebalances the suffix goes on to trigger."""
-        return cls.from_snapshot(
-            CODEC.load(path, expected_kind="rebalancing")["state"]
-        )
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the wrapper-level boundary hooks: they belong to
+        outside observers of this live object, not to a restored copy."""
+        state = self.__dict__.copy()
+        state["_boundary_hooks"] = []
+        return state
 
     # ------------------------------------------------------------------ #
     # Sampling and statistics (delegated to the current inner ingestor)

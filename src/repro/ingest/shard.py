@@ -12,7 +12,7 @@ the live shard replicas into a persistent one-process-per-shard
 .ingest_parallel` is the one-call convenience wrapper), while the serial
 :meth:`ShardedIngestor.ingest` keeps the same semantics in-process.  The
 pool feeds every worker the exact sub-chunk sequence the serial path
-produces and each replica starts from a snapshot of the parent-side state,
+produces and each replica starts from a pickled copy of the parent-side state,
 so pool-fed shards are *bit-identical* to a serial run under equal seeds —
 ingestion, ``merged_sample``, checkpointing and ``statistics`` all keep
 working against the live workers.
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import pickle
 import random
 import time
 from bisect import bisect_right
@@ -57,14 +58,14 @@ from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.backend import derive_seed, restore_backend, snapshot_backend
+from ..core.backend import derive_seed
 from ..core.reservoir_join import ReservoirJoin
 from ..relational.join import count_results
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
 from ..relational.stream import StreamDelete, StreamTuple
 from .batch import DEFAULT_CHUNK_SIZE, BatchIngestor
-from .checkpoint import CODEC, CheckpointMismatchError
+from .checkpoint import CheckpointMismatchError, Checkpointable
 from .engine import EngineLane, IngestionEngine
 from .pool import ShardWorkerPool, WorkerCrashError  # noqa: F401 (re-export)
 
@@ -188,7 +189,7 @@ class _ShardState:
     statistics: Dict[str, object] = field(default_factory=dict)
 
 
-class ShardedIngestor:
+class ShardedIngestor(Checkpointable):
     """Partition a stream across per-shard sampler replicas and merge exactly.
 
     Parameters
@@ -263,11 +264,7 @@ class ShardedIngestor:
             ],
             chunk_size=chunk_size,
             router=self._route,
-            after_chunk=[
-                lambda items, parts: self.note_chunk(
-                    len(items), sum(map(len, parts))
-                )
-            ],
+            after_chunk=[self._roll_up],
         )
         # Projection getters for the relations that carry the partition
         # attribute; every other relation is broadcast.
@@ -470,20 +467,16 @@ class ShardedIngestor:
         """The live worker pool, or ``None`` outside pool mode."""
         return self._pool if self.pool_active else None
 
-    def start_pool(
-        self, processes: Optional[int] = None, transport: Optional[str] = None
-    ) -> ShardWorkerPool:
+    def start_pool(self, processes: Optional[int] = None) -> ShardWorkerPool:
         """Move the live shard replicas into a persistent worker pool.
 
-        Each worker process rebuilds its replica from a
-        :func:`~repro.core.backend.snapshot_backend` record of the
-        parent-side sampler — the same capability checkpoints use — so a
-        pool started mid-stream (or on a checkpoint-restored ingestor)
-        continues exactly where the in-process replicas stood, and a pool
-        started fresh is bit-identical to a serial run under equal seeds.
-        Any snapshot-capable (or picklable) replica qualifies, custom
-        factories included: the built replica's *state* crosses the process
-        boundary, never the factory callable.
+        Each worker process unpickles its shard's :class:`BatchIngestor` —
+        the same pickle a checkpoint holds — so a pool started mid-stream
+        (or on a checkpoint-restored ingestor) continues exactly where the
+        in-process replicas stood, and a pool started fresh is
+        bit-identical to a serial run under equal seeds.  Any picklable
+        replica qualifies, custom factories included: the built replica's
+        *state* crosses the process boundary, never the factory callable.
 
         ``processes`` is validated (non-positive counts raise
         ``ValueError``) but otherwise advisory: shards are stateful, so the
@@ -500,14 +493,9 @@ class ShardedIngestor:
         start = time.perf_counter()
         self._pool = ShardWorkerPool(
             [
-                {
-                    "backend": snapshot_backend(sampler),
-                    "engine": ingestor._engine.snapshot_state(),
-                    "chunk_size": self.chunk_size,
-                }
-                for sampler, ingestor in zip(self.samplers, self.ingestors)
-            ],
-            transport=transport,
+                pickle.dumps(ingestor, protocol=pickle.HIGHEST_PROTOCOL)
+                for ingestor in self.ingestors
+            ]
         )
         self.pool_startup_seconds += time.perf_counter() - start
         return self._pool
@@ -529,29 +517,27 @@ class ShardedIngestor:
             return
         try:
             if sync and pool.active and not pool.poisoned:
-                records = pool.snapshots()
+                ingestors = pool.snapshots()
                 self._fold_pool_accounting(pool)
-                self._adopt_worker_states(records)
+                self._adopt_worker_states(ingestors)
             else:
                 pool.collect()
                 self._fold_pool_accounting(pool)
         finally:
             pool.close()
 
-    def _adopt_worker_states(self, records: List[Dict[str, object]]) -> None:
-        """Rebuild the in-process replicas from worker snapshot records,
-        splicing the fresh per-shard ingestors into the existing engine
-        lanes so all accumulated accounting survives the transition."""
-        self.samplers = [restore_backend(record["backend"]) for record in records]
-        self.ingestors = [
-            BatchIngestor(sampler, chunk_size=self.chunk_size)
-            for sampler in self.samplers
-        ]
-        for ingestor, record in zip(self.ingestors, records):
-            ingestor._engine.restore_state(record["engine"])
+    def _adopt_worker_states(self, ingestors: List[BatchIngestor]) -> None:
+        """Replace the in-process replicas with copies of the workers'
+        per-shard ingestors, splicing them into the existing engine lanes
+        so all accumulated accounting survives the transition."""
+        self.ingestors = ingestors
+        self.samplers = [ingestor.sampler for ingestor in self.ingestors]
+        self._bind_lanes()
+        self._counts = None
+
+    def _bind_lanes(self) -> None:
         for lane, ingestor in zip(self._engine.lanes, self.ingestors):
             lane.apply = ingestor.ingest_batch
-        self._counts = None
 
     def _fold_pool_accounting(self, pool: Optional[ShardWorkerPool] = None) -> None:
         """Fold the pool's accounting deltas into the engine accumulators:
@@ -610,6 +596,10 @@ class ShardedIngestor:
         if self.pool_active:
             return self._pool_ingest_batch(list(items))
         return self._engine.ingest_batch(items)
+
+    def _roll_up(self, items: List, parts: List[List]) -> None:
+        """The engine's own boundary hook: the chunk's counter roll-up."""
+        self.note_chunk(len(items), sum(map(len, parts)))
 
     def note_chunk(self, tuples: int, deliveries: int) -> None:
         """Record one ingested chunk's counters and invalidate count caches.
@@ -683,90 +673,26 @@ class ShardedIngestor:
     # ------------------------------------------------------------------ #
     # Durability
     # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """The ingestor's complete resumable state: one sub-checkpoint per
-        shard lane plus the engine-level state (lane layout, partition
-        attribute, counters, critical-path accounting) and both randomness
-        sources (the master RNG state and the derived per-shard seeds).
-
-        Also the ingestor's own snapshot capability, so a sharded backend
-        registered into a fan-out checkpoints along with its host.
-        Requires every shard replica to be snapshot-capable or picklable,
-        which the default :class:`ReservoirJoin` replicas are.  With a live
-        worker pool the replica states are captured *inside* the workers
-        (drained first, so the cut is a chunk boundary) and shipped back —
-        a checkpoint taken mid-parallel-run restores exactly like a serial
-        one, through the unchanged codec.
-        """
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle without the worker pool.  With a live pool the replica
+        states are captured *inside* the workers (drained first, so the cut
+        is a chunk boundary) and pickled in place of the stale in-process
+        replicas — a checkpoint taken mid-parallel-run restores exactly
+        like a serial one.  The pool itself keeps running.  The last
+        chunk's routing record is dropped too: a restored copy has
+        delivered no chunk yet."""
+        state = self.__dict__.copy()
+        state["_pool"] = None
+        state["_last_assignments"] = None
         if self.pool_active:
-            records = self._pool.snapshots()
+            state["ingestors"] = self._pool.snapshots()
             self._fold_pool_accounting()
-            shard_records = [record["backend"] for record in records]
-            shard_engines = [record["engine"] for record in records]
-        else:
-            shard_records = [snapshot_backend(sampler) for sampler in self.samplers]
-            shard_engines = [
-                ingestor._engine.snapshot_state() for ingestor in self.ingestors
-            ]
-        return {
-            "query": self.query,
-            "k": self.k,
-            "num_shards": self.num_shards,
-            "chunk_size": self.chunk_size,
-            "partition_attr": self.partition_attr,
-            "shard_seeds": list(self._shard_seeds),
-            "rng": self._rng.getstate(),
-            "shards": shard_records,
-            "shard_engines": shard_engines,
-            "engine": self._engine.snapshot_state(),
-            "counters": {
-                "tuples_ingested": self.tuples_ingested,
-                "batches_ingested": self.batches_ingested,
-                "broadcast_deliveries": self.broadcast_deliveries,
-                "relation_deliveries": dict(self.relation_deliveries),
-            },
-            "timing_incomplete": self.timing_incomplete,
-            "parallel_wall_seconds": self.parallel_wall_seconds,
-        }
+            state["samplers"] = [ingestor.sampler for ingestor in state["ingestors"]]
+        return state
 
-    def save(self, path: str) -> None:
-        """Write a checkpoint of :meth:`snapshot_state` (call at a chunk
-        boundary)."""
-        CODEC.dump(path, "sharded", self.snapshot_state())
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "ShardedIngestor":
-        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot."""
-        replicas = [restore_backend(record) for record in state["shards"]]
-        ingestor = cls(
-            state["query"],
-            state["k"],
-            num_shards=state["num_shards"],
-            chunk_size=state["chunk_size"],
-            partition_attr=state["partition_attr"],
-            factory=lambda shard, shard_rng: replicas[shard],
-            rng=random.Random(),
-        )
-        # The factory above returns pre-restored replicas, so the seeds the
-        # constructor derived are meaningless: load the recorded seed list
-        # and master-RNG state so merged_sample and any future replica
-        # derivation continue the checkpointed randomness exactly.
-        ingestor._shard_seeds = list(state["shard_seeds"])
-        ingestor._rng.setstate(state["rng"])
-        ingestor._engine.restore_state(state["engine"])
-        for sub, engine_state in zip(ingestor.ingestors, state["shard_engines"]):
-            sub._engine.restore_state(engine_state)
-        counters = state["counters"]
-        ingestor.tuples_ingested = counters["tuples_ingested"]
-        ingestor.batches_ingested = counters["batches_ingested"]
-        ingestor.broadcast_deliveries = counters["broadcast_deliveries"]
-        ingestor.relation_deliveries = dict(counters["relation_deliveries"])
-        # An async transport may have driven this ingestor barrier-less; the
-        # restored instance must keep suppressing the critical-path figure.
-        ingestor.timing_incomplete = state["timing_incomplete"]
-        # Absent in pre-pool checkpoints, which never measured it.
-        ingestor.parallel_wall_seconds = state.get("parallel_wall_seconds", 0.0)
-        return ingestor
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._bind_lanes()
 
     @classmethod
     def restore(cls, path: str, num_shards: Optional[int] = None) -> "ShardedIngestor":
@@ -779,17 +705,16 @@ class ShardedIngestor:
         never silently rehashed into a different layout.  Re-partitioning
         is a rebalancing operation on a *live* ingestor, not a restore.
         """
-        document = CODEC.load(path, expected_kind="sharded")
-        state = document["state"]
-        if num_shards is not None and num_shards != state["num_shards"]:
+        ingestor = super().restore(path)
+        if num_shards is not None and num_shards != ingestor.num_shards:
             raise CheckpointMismatchError(
-                f"checkpoint was written with {state['num_shards']} shards "
+                f"checkpoint was written with {ingestor.num_shards} shards "
                 f"and cannot be restored into {num_shards}; a checkpoint is "
                 "bound to its shard layout (restoring would silently rehash "
                 "every partition) — restore with the saved layout, then "
                 "re-partition through repro.ingest.rebalance"
             )
-        return cls.from_snapshot(state)
+        return ingestor
 
     # ------------------------------------------------------------------ #
     # Merging
@@ -993,7 +918,7 @@ class ShardedIngestor:
         their acks, which fold into the same engine accumulators serial
         dispatch uses (``critical_path_seconds`` = per chunk, routing cost
         + slowest worker).  Mid-flight reads fold whatever acks have
-        arrived; any drain point (``merged_sample``, ``snapshot_state``,
+        arrived; any drain point (``merged_sample``, a checkpoint,
         ``ingest_parallel``'s return) makes them exact.  An async transport
         driver sets ``timing_incomplete`` — shards then run ahead of each
         other with no per-chunk barrier, so ``shard_busy_seconds`` and

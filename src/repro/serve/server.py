@@ -12,17 +12,17 @@ Uniformity holds at chunk boundaries — and only there.  The server counts
 boundaries as *epochs* via the ingestors' ``add_boundary_hook`` seam
 (epoch ``E`` = the state after chunk ``E``; epoch 0 = the empty prefix).
 Reads never touch the live state.  Instead the server takes a **copy-on-read
-cut**: the first read of an epoch freezes the ingestor through the existing
-:func:`~repro.core.backend.snapshot_backend` / :func:`~repro.core.backend
-.restore_backend` capability (an in-memory round trip, no disk codec) into
-an immutable replica; every subsequent read of that epoch shares the cached
-replica lock-free.  The cut is captured under the same lock the writer holds
+cut**: the first read of an epoch pickles the ingestor and unpickles it
+again (:func:`~repro.core.backend.snapshot_backend` /
+:func:`~repro.core.backend.restore_backend` — the same pickle a checkpoint
+holds, in memory, with no disk codec) into an immutable replica; every
+subsequent read of that epoch shares the cached replica lock-free.  The cut is captured under the same lock the writer holds
 while applying a chunk, so a replica always equals the ingestor's state at
 *exactly* one chunk boundary — no half-applied chunk is observable.
 
 Why the served sample is exactly uniform
 ----------------------------------------
-Snapshot/restore is bit-identical (property-harness section (e)), so the
+A pickle round trip is bit-identical (property-harness section (e)), so the
 frozen replica at epoch ``E`` *is* a sampler that ingested precisely the
 first ``E`` chunks and then stopped.  By the per-sampler chunk-boundary
 guarantee its reservoir is a uniform sample without replacement of the join
@@ -39,8 +39,9 @@ Predicate views
 feeds every view at each chunk it pushes (stream items arrive at the view
 as ``(relation, row)`` pairs wrapped into the view's arity-1 relation), so
 a view's reservoir is a uniform sample of the *predicate-matching* stream
-items pushed since subscription — and it freezes into every epoch cut with
-the same snapshot capability, giving views the same isolation guarantee.
+items pushed since subscription — and it freezes into every epoch cut as a
+copy (:func:`_freeze_view`, which shares rather than pickles the
+predicate), giving views the same isolation guarantee.
 
 Single-writer discipline: drive ingestion through ``server.ingest_batch`` /
 ``server.ingest`` (or the asyncio front end).  Reads are safe from any
@@ -65,8 +66,7 @@ from ..relational.stream import StreamTuple, as_relation_rows, chunk_stream
 def _freeze_view(view: PredicateStreamSampler) -> PredicateStreamSampler:
     """An inert in-memory replica of a predicate view's current state.
 
-    Unlike the disk-bound snapshot capability this never pickles the
-    predicate — the frozen clone *shares* the live predicate object (it is
+    Unlike a pickled copy this never pickles the predicate — the frozen clone *shares* the live predicate object (it is
     configuration, not sampler state), so lambdas and closures work as
     subscriber predicates.  Everything mutable is copied.
     """
@@ -86,7 +86,7 @@ class EpochSnapshot:
     """An immutable cut of the served state at one chunk-boundary epoch.
 
     Holds a frozen replica of the ingestor (and of every subscribed
-    predicate view) rebuilt from its snapshot record — a deep, inert copy
+    predicate view) unpickled from a copy of the live one — a deep, inert copy
     that later ingestion cannot touch.  All read methods are safe to call
     from any number of threads concurrently: the only mutable state is a
     private seed RNG, guarded by its own lock, from which each read that
@@ -130,21 +130,22 @@ class EpochSnapshot:
         ``k``-subset of it otherwise — a uniform subset of a uniform
         sample is itself uniform.  Pass ``rng`` for a deterministic draw;
         by default each call derives an independent RNG from the
-        snapshot's capture seed.
+        snapshot's capture seed.  A non-positive ``k`` raises
+        ``ValueError`` whatever the epoch holds.
         """
         frozen = self._frozen
         if hasattr(frozen, "merged_sample"):
             if rng is None:
                 rng = self._reader_rng()
             return frozen.merged_sample(k, rng=rng)
+        if k is not None and k <= 0:
+            raise ValueError("sample size must be positive")
         reservoir = frozen.sampler.sample if hasattr(frozen, "sampler") else frozen.sample
         if callable(reservoir):
             reservoir = reservoir()
         reservoir = list(reservoir)
         if k is None or k >= len(reservoir):
             return reservoir
-        if k <= 0:
-            raise ValueError("sample size must be positive")
         if rng is None:
             rng = self._reader_rng()
         return rng.sample(reservoir, k)
@@ -362,7 +363,7 @@ class SampleServer:
         Returns the cached cut when it is at most ``max_staleness`` epochs
         behind the current one (0 = must be current); otherwise captures a
         fresh cut at the current boundary.  Capture cost is one in-memory
-        snapshot/restore of the ingestor state, paid once per epoch by the
+        pickle round trip of the ingestor, paid once per epoch by the
         first reader needing it — every other read of that epoch is a
         cache hit on an immutable object.
         """

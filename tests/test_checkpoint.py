@@ -4,8 +4,9 @@ The statistical half of the story — bit-identical resumption for every
 backend kind — lives in property-harness section (e) of
 ``tests/statistical/test_properties.py``.  This module covers the
 deterministic seam: the file format (truncation, corruption, version and
-kind mismatches), the shard-layout guard, the backend capability probe, and
-the post-``ingest_parallel`` finalisation UX.
+class mismatches), the shard-layout guard, what a pickled ingestor leaves
+behind (outside observers' hooks), and the post-``ingest_parallel``
+finalisation UX.
 """
 
 from __future__ import annotations
@@ -18,19 +19,22 @@ from typing import List
 import pytest
 
 from repro import (
+    AsyncIngestor,
     BatchIngestor,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointMismatchError,
     CheckpointVersionError,
-    CyclicReservoirJoin,
     FanoutIngestor,
     JoinQuery,
+    PeriodicCheckpointer,
+    RebalancingIngestor,
     ReservoirJoin,
+    SampleServer,
     ShardedIngestor,
     StreamTuple,
 )
-from repro.core.backend import probe_backend, restore_backend, snapshot_backend
+from repro.core.backend import restore_backend, snapshot_backend
 from repro.baselines.sjoin import SJoin
 from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCodec
 
@@ -57,10 +61,8 @@ def chain3_stream(n: int, seed: int = 5, domain: int = 12) -> List[StreamTuple]:
 class TestCodec:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        CODEC.dump(path, "batch", {"answer": 42})
-        document = CODEC.load(path)
-        assert document["kind"] == "batch"
-        assert document["state"] == {"answer": 42}
+        CODEC.dump(path, {"answer": 42})
+        assert CODEC.load(path) == {"answer": 42}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -74,21 +76,21 @@ class TestCodec:
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        CODEC.dump(path, "batch", {"answer": 42})
+        CODEC.dump(path, {"answer": 42})
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(CheckpointCorruptError, match="shorter than"):
             CODEC.load(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        CODEC.dump(path, "batch", {"answer": 42})
+        CODEC.dump(path, {"answer": 42})
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(CheckpointCorruptError, match="truncated"):
             CODEC.load(path)
 
     def test_corrupt_payload_fails_checksum(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        CODEC.dump(path, "batch", {"answer": 42})
+        CODEC.dump(path, {"answer": 42})
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF  # flip one payload bit; length still matches
         path.write_bytes(bytes(blob))
@@ -97,15 +99,24 @@ class TestCodec:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        CheckpointCodec(version=FORMAT_VERSION + 7).dump(path, "batch", {})
+        CheckpointCodec(version=FORMAT_VERSION + 7).dump(path, {})
         with pytest.raises(CheckpointVersionError, match=str(FORMAT_VERSION + 7)):
             CODEC.load(path)
 
+    def test_version_one_files_are_refused(self, tmp_path):
+        # Version 1 held a hand-built state dict per ingestor; version 2 is
+        # the pickled ingestor, and the old layout is not read any more.
+        assert FORMAT_VERSION == 2
+        path = tmp_path / "v1.ckpt"
+        CheckpointCodec(version=1).dump(path, {"kind": "batch", "state": {}})
+        with pytest.raises(CheckpointVersionError, match="version 1"):
+            BatchIngestor.restore(path)
+
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "x.ckpt"
-        CODEC.dump(path, "batch", {})
-        with pytest.raises(CheckpointMismatchError, match="'batch'"):
-            CODEC.load(path, expected_kind="sharded")
+        CODEC.dump(path, {})
+        with pytest.raises(CheckpointMismatchError, match="dict"):
+            CODEC.load(path, ShardedIngestor)
 
     def test_all_errors_are_checkpoint_errors(self):
         for cls in (CheckpointCorruptError, CheckpointVersionError, CheckpointMismatchError):
@@ -115,7 +126,7 @@ class TestCodec:
         # The on-disk format is a public contract: the first 8 bytes never
         # change, or old files stop being recognisable as checkpoints.
         path = tmp_path / "x.ckpt"
-        CODEC.dump(path, "batch", {})
+        CODEC.dump(path, {})
         assert path.read_bytes()[:8] == MAGIC == b"RPROCKPT"
 
 
@@ -154,24 +165,6 @@ class TestRestoreGuards:
         assert restored.timing_incomplete is True
         assert restored.statistics()["critical_path_seconds"] is None
 
-    def test_sampler_restore_state_requires_fresh_sampler(self):
-        query = chain3()
-        sampler = ReservoirJoin(query, 4, rng=random.Random(3))
-        for item in chain3_stream(30):
-            sampler.insert(item.relation, item.row)
-        state = sampler.snapshot_state()
-        dirty = ReservoirJoin(query, 4, rng=random.Random(4))
-        dirty.insert("R1", (1, 2))
-        with pytest.raises(RuntimeError, match="freshly constructed"):
-            dirty.restore_state(state)
-
-    def test_sampler_restore_state_requires_matching_k(self):
-        query = chain3()
-        sampler = CyclicReservoirJoin(query, 4, rng=random.Random(5))
-        state = sampler.snapshot_state()
-        with pytest.raises(ValueError, match="k=4"):
-            CyclicReservoirJoin(query, 9, rng=random.Random(6)).restore_state(state)
-
     def test_fanout_refuses_checkpoint_with_failed_backend(self, tmp_path):
         class Exploding:
             query = chain3()
@@ -189,19 +182,13 @@ class TestRestoreGuards:
 
 
 # --------------------------------------------------------------------- #
-# Backend capability probe (native snapshot vs generic pickle fallback)
+# In-memory backend snapshots (the pickled object)
 # --------------------------------------------------------------------- #
 class TestBackendSnapshots:
-    def test_native_capability_is_probed(self):
-        sampler = ReservoirJoin(chain3(), 4, rng=random.Random(8))
-        assert probe_backend(sampler).snapshot
-        assert snapshot_backend(sampler)["codec"] == "native"
-
     def test_pickle_fallback_for_baselines(self):
         sampler = SJoin(chain3(), 4, rng=random.Random(9))
-        assert not probe_backend(sampler).snapshot
         record = snapshot_backend(sampler)
-        assert record["codec"] == "pickle"
+        assert isinstance(record, bytes)
         for item in chain3_stream(40, seed=11):
             sampler.insert(item.relation, item.row)  # must not mutate the record
         restored = restore_backend(record)
@@ -396,3 +383,140 @@ class TestPeriodicCheckpointer:
         assert list(recovered.sampler.sample) == list(
             uninterrupted.sampler.sample
         )
+
+
+# --------------------------------------------------------------------- #
+# What a pickled ingestor leaves behind: outside observers' hooks
+# --------------------------------------------------------------------- #
+def _build(kind: str):
+    if kind == "batch":
+        return BatchIngestor(ReservoirJoin(chain3(), 5, rng=random.Random(41)), chunk_size=20)
+    if kind == "sharded":
+        return ShardedIngestor(chain3(), k=5, num_shards=2, chunk_size=20, rng=random.Random(41))
+    return RebalancingIngestor(chain3(), k=5, num_shards=2, chunk_size=20, rng=random.Random(41))
+
+
+class TestRestoredHooks:
+    @pytest.mark.parametrize("kind", ["batch", "sharded", "rebalancing"])
+    def test_outside_hooks_are_dropped_and_counters_still_advance(self, kind, tmp_path):
+        path = str(tmp_path / f"{kind}.ckpt")
+        stream = chain3_stream(100, seed=43)
+        ingestor = _build(kind)
+        server = SampleServer(ingestor, rng=random.Random(1))
+        checkpointer = PeriodicCheckpointer(ingestor, path, interval_seconds=0.0).install()
+        for start in range(0, 60, 20):
+            server.ingest_batch(stream[start : start + 20])
+        assert server.epoch == checkpointer.checkpoints_written == 3
+
+        restored = type(ingestor).restore(path)
+        restored.ingest_batch(stream[60:80])
+        # The server's epoch counter and the checkpointer watch the live
+        # object only; the restored copy fires neither.
+        assert server.epoch == checkpointer.checkpoints_written == 3
+        assert restored.tuples_ingested == 80
+        assert restored.batches_ingested == 4
+        if kind != "batch":
+            deliveries = restored.statistics()["relation_deliveries"]
+            assert sum(deliveries.values()) == 80
+        if kind == "sharded":
+            # The ingestor's own roll-up hook survives, and only it.
+            assert restored._engine.after_chunk == [restored._roll_up]
+        if kind == "rebalancing":
+            assert restored._boundary_hooks == []
+
+    def test_checkpoint_through_a_live_pool_equals_a_serial_one(self, tmp_path):
+        stream = chain3_stream(160, seed=47)
+
+        def build():
+            return ShardedIngestor(
+                chain3(), k=4, num_shards=2, chunk_size=20, rng=random.Random(48)
+            )
+
+        serial, pooled = build(), build()
+        serial.ingest(stream)
+        pooled.ingest_parallel(stream)
+        serial.save(tmp_path / "serial.ckpt")
+        pooled.save(tmp_path / "pooled.ckpt")
+        pooled.close_pool()
+        a = ShardedIngestor.restore(tmp_path / "serial.ckpt")
+        b = ShardedIngestor.restore(tmp_path / "pooled.ckpt")
+        assert a.shard_samples() == b.shard_samples()
+        assert a._rng.getstate() == b._rng.getstate()
+        assert [s._rng.getstate() for s in a.samplers] == [
+            s._rng.getstate() for s in b.samplers
+        ]
+        for key in ("tuples_ingested", "batches_ingested", "broadcast_deliveries",
+                    "relation_deliveries", "shard_tuples"):
+            assert a.statistics()[key] == b.statistics()[key]
+        assert [i.tuples_ingested for i in a.ingestors] == [
+            i.tuples_ingested for i in b.ingestors
+        ]
+        assert [s.statistics() for s in a.samplers] == [
+            s.statistics() for s in b.samplers
+        ]
+
+
+class _QueryOnlySampler:
+    """A backend with per-tuple ``insert`` only: its lane is the
+    ``chunk_apply`` fallback closure, which a pickle cannot carry."""
+
+    def __init__(self, query):
+        self.query = query
+        self.rows: List[tuple] = []
+
+    def insert(self, relation, row):
+        self.rows.append((relation, tuple(row)))
+
+    @property
+    def sample(self):
+        return list(self.rows)
+
+    def statistics(self):
+        return {"rows": len(self.rows)}
+
+
+class TestRoundTrips:
+    def test_async_round_trip_resumes_bit_identically(self, tmp_path):
+        stream = chain3_stream(200, seed=51)
+
+        def build():
+            return AsyncIngestor(
+                ShardedIngestor(chain3(), k=4, num_shards=2, chunk_size=25,
+                                rng=random.Random(52)),
+                chunk_size=25,
+            )
+
+        with build() as uninterrupted:
+            uninterrupted.ingest(stream)
+            expected = uninterrupted.target.shard_samples()
+        with build() as first:
+            first.ingest(stream[:100])
+            first.save(tmp_path / "async.ckpt")
+        with AsyncIngestor.restore(tmp_path / "async.ckpt") as resumed:
+            assert resumed.at_boundary
+            resumed.ingest(stream[100:])
+            assert resumed.target.shard_samples() == expected
+            assert resumed.chunks_submitted == 8
+
+    def test_fanout_round_trip_rebinds_every_lane(self, tmp_path):
+        stream = chain3_stream(200, seed=53)
+
+        def build():
+            fan = FanoutIngestor(chunk_size=25, rng=random.Random(54))
+            fan.register("rj", lambda rng: ReservoirJoin(chain3(), 4, rng=rng))
+            fan.add("plain", _QueryOnlySampler(chain3()))
+            fan.add("sharded", ShardedIngestor(chain3(), k=4, num_shards=2,
+                                               chunk_size=25, rng=random.Random(55)))
+            return fan
+
+        uninterrupted = build().ingest(stream)
+        first = build().ingest(stream[:100])
+        first.save(tmp_path / "fan.ckpt")
+        resumed = FanoutIngestor.restore(tmp_path / "fan.ckpt")
+        resumed.ingest(stream[100:])
+        assert resumed.backend("rj").sample == uninterrupted.backend("rj").sample
+        assert resumed.backend("plain").rows == uninterrupted.backend("plain").rows
+        assert (resumed.backend("sharded").shard_samples()
+                == uninterrupted.backend("sharded").shard_samples())
+        assert resumed.backend_seed("rj") == uninterrupted.backend_seed("rj")
+        assert resumed.statistics()["tuples_ingested"] == 200

@@ -2,7 +2,7 @@
 
 Exercises the pool directly — below ``ShardedIngestor`` — so the IPC
 contract is pinned on its own terms: worker replicas bit-identical to
-locally-fed twins on both transports, reuse across submission waves,
+locally-fed twins, reuse across submission waves,
 snapshot round trips through live workers, sticky poison on worker death
 and worker-side exceptions, backpressure/validation errors, and the
 accounting hand-off (busy/critical-path deltas).  The ``ShardedIngestor``
@@ -12,6 +12,7 @@ adoption) lives in tests/test_shard_ingest.py and tests/test_checkpoint.py.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -25,8 +26,6 @@ from repro import (
     StreamTuple,
     WorkerCrashError,
 )
-from repro.core.backend import restore_backend, snapshot_backend
-from repro.ingest.pool import TRANSPORT_ENV
 
 
 def chain3() -> JoinQuery:
@@ -46,20 +45,13 @@ def chain3_stream(n, seed=5, domain=12):
 
 
 def make_replicas(num_shards, k=4, seed=7, chunk_size=16):
-    """Local samplers/ingestors plus the pool init records that clone them."""
+    """Local samplers/ingestors plus the pool init payloads that clone them."""
     samplers = [
         ReservoirJoin(chain3(), k=k, rng=random.Random(seed + shard))
         for shard in range(num_shards)
     ]
     ingestors = [BatchIngestor(s, chunk_size=chunk_size) for s in samplers]
-    inits = [
-        {
-            "backend": snapshot_backend(sampler),
-            "engine": ingestor._engine.snapshot_state(),
-            "chunk_size": chunk_size,
-        }
-        for sampler, ingestor in zip(samplers, ingestors)
-    ]
+    inits = [pickle.dumps(ingestor) for ingestor in ingestors]
     return samplers, ingestors, inits
 
 
@@ -88,18 +80,6 @@ class TestLifecycle:
             ShardWorkerPool([])
         with pytest.raises(ValueError, match="max_pending"):
             ShardWorkerPool(inits, max_pending=0)
-        with pytest.raises(ValueError, match="unknown pool transport"):
-            ShardWorkerPool(inits, transport="carrier-pigeon")
-
-    def test_transport_env_knob(self, monkeypatch):
-        _, _, inits = make_replicas(1)
-        monkeypatch.setenv(TRANSPORT_ENV, "pipe")
-        with ShardWorkerPool(inits) as pool:
-            assert pool.transport == "pipe"
-        # An explicit argument beats the environment.
-        monkeypatch.setenv(TRANSPORT_ENV, "slab")
-        with ShardWorkerPool(inits, transport="pipe") as pool:
-            assert pool.transport == "pipe"
 
     def test_context_manager_and_idempotent_close(self):
         _, _, inits = make_replicas(2)
@@ -123,11 +103,10 @@ class TestLifecycle:
 # Bit identity: pool workers vs locally-fed twin replicas
 # --------------------------------------------------------------------- #
 class TestBitIdentity:
-    @pytest.mark.parametrize("transport", ["slab", "pipe"])
-    def test_workers_match_local_replicas(self, transport):
+    def test_workers_match_local_replicas(self):
         samplers, ingestors, inits = make_replicas(2)
         stream = chain3_stream(120, seed=11)
-        with ShardWorkerPool(inits, transport=transport) as pool:
+        with ShardWorkerPool(inits) as pool:
             for parts in routed_chunks(stream, 2, 16):
                 pool.submit(parts)
                 feed_locally(ingestors, parts)
@@ -165,13 +144,13 @@ class TestBitIdentity:
             for parts in routed_chunks(stream[:80], 2, 16):
                 pool.submit(parts)
                 feed_locally(ingestors, parts)
-            records = pool.snapshots()  # drains; pool stays live
-            # Restore the worker snapshots into fresh local replicas and
-            # race them against the still-live workers on the tail.
-            restored = [restore_backend(r["backend"]) for r in records]
-            twins = [BatchIngestor(s, chunk_size=16) for s in restored]
-            for twin, record in zip(twins, records):
-                twin._engine.restore_state(record["engine"])
+            # Copies of the workers' ingestors (drains; pool stays live),
+            # raced against the still-live workers on the tail.
+            twins = pool.snapshots()
+            assert [t.tuples_ingested for t in twins] == [
+                i.tuples_ingested for i in ingestors
+            ]
+            restored = [twin.sampler for twin in twins]
             for parts in routed_chunks(stream[80:], 2, 16):
                 pool.submit(parts)
                 feed_locally(twins, parts)
@@ -280,19 +259,15 @@ class TestAccounting:
             pool.drain()
             stats = pool.statistics()
         assert stats["workers"] == 2
-        assert stats["transport"] in ("slab", "pipe")
         assert stats["max_pending"] == 3
         assert sum(stats["tuples_shipped"]) == len(stream)
-        assert all(b > 0 for b in stats["bytes_shipped"]) or stats[
-            "transport"
-        ] == "pipe"
         assert stats["poisoned"] is False
 
-    def test_slab_grows_for_oversized_chunks(self):
-        # One chunk whose pickle outgrows the initial slab forces a resize
-        # mid-run; identity with a locally-fed twin proves the old payload
-        # was never clobbered.  Fat values (2048-bit ints) keep the pickle
-        # large while the join stays empty and cheap.
+    def test_oversized_chunks_arrive_whole(self):
+        # A sub-chunk whose pickle is far larger than a pipe buffer must
+        # reach the worker intact; identity with a locally-fed twin shows
+        # it did.  Fat values (2048-bit ints) keep the pickle large while
+        # the join stays empty and cheap.
         samplers, ingestors, inits = make_replicas(1, chunk_size=4096)
         rng = random.Random(18)
         big = [
@@ -302,18 +277,11 @@ class TestAccounting:
             )
             for i in range(600)
         ]
-        with ShardWorkerPool(inits, transport="slab") as pool:
-            assert pool.workers[0].slab is None  # no slab until traffic
-            small = chain3_stream(8, seed=19)
-            pool.submit([small])  # allocates the initial-size slab
-            feed_locally(ingestors, [small])
-            first_size = pool.workers[0].slab.size
-            pool.submit([big])  # outgrows it: new slab, old one retired
-            feed_locally(ingestors, [big])
-            pool.submit([small])  # reuse after the growth
-            feed_locally(ingestors, [small])
+        small = chain3_stream(8, seed=19)
+        with ShardWorkerPool(inits) as pool:
+            for part in (small, big, small):
+                pool.submit([part])
+                feed_locally(ingestors, [part])
             states = pool.shard_states()
-            assert pool.workers[0].slab.size > first_size
-            assert pool.workers[0].retired_slabs == []  # unlinked en route
         assert states[0][0] == list(samplers[0].sample)
         assert states[0][4] == ingestors[0].tuples_ingested

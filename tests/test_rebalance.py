@@ -358,16 +358,6 @@ class TestRecordedRouting:
         )
         assert current == scratch
 
-    def test_snapshot_restores_legacy_pair_windows(self, line3_query):
-        ingestor = make_rebalancing(line3_query)
-        ingestor.ingest(uniform_stream(900, seed=24))
-        reference = ingestor.plan()
-        state = ingestor.snapshot_state()
-        # Legacy snapshots stored (relation, row) pairs without a shard.
-        state["window"] = [(relation, row) for relation, row, _ in state["window"]]
-        restored = RebalancingIngestor.from_snapshot(state)
-        assert restored.plan() == reference
-
 
 class TestTakeLastAssignments:
     def test_delivery_records_stream_order_assignments(self, line3_query):

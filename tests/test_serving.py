@@ -214,6 +214,21 @@ class TestSampleServer:
         with pytest.raises(ValueError):
             server.snapshot(max_staleness=-1)
 
+    def test_non_positive_k_raises_whatever_the_epoch_holds(self, line3_query, stream):
+        # k is validated before the reservoir is looked at: an empty epoch
+        # and a full one refuse sample(0) alike, as merged_sample does.
+        server = SampleServer(
+            BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
+        )
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                server.sample(k)
+        server.ingest(stream)
+        assert server.sample()
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                server.sample(k)
+
     def test_serves_sharded_ingestor_with_exact_merge(self, line3_query, stream):
         server = SampleServer(
             ShardedIngestor(

@@ -217,19 +217,10 @@ def test_ingestion_never_recounts(monkeypatch):
             chunked.ingest_batch(part)
         per_tuple = TurnstileReservoirJoin(query, 8, rng=random.Random(1)).process(stream)
         windowed = WindowedSampler(query, 8, 25, rng=random.Random(1)).process(stream)
-        # A snapshot carries the count, so a restore does not recount either.
+        # The count is pickled state, so a restore does not recount either.
         restored = restore_backend(snapshot_backend(chunked))
         samplers += [chunked, per_tuple, windowed._inner, restored]
     monkeypatch.undo()
     for sampler in samplers:
         assert sampler._population == count_results(sampler.query, sampler.index.database)
 
-
-def test_snapshot_without_population_recounts_once():
-    query = QUERIES[1]
-    sampler = TurnstileReservoirJoin(query, 6, rng=random.Random(2))
-    sampler.process(build_stream(query, random_ops(8, 120)))
-    state = sampler.snapshot_state()
-    del state["population"]
-    restored = TurnstileReservoirJoin.from_snapshot(state)
-    assert restored._population == sampler._population

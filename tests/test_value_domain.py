@@ -4,12 +4,16 @@ Rows carry whatever values a stream delivers, not only small ints: ``None``,
 ``str``, ``bytes``, ints outside the machine word, and the join-equal
 triples ``1 == 1.0 == True`` and ``0 == 0.0 == False``.  These tests feed
 hypothesis-generated streams over that domain through the per-tuple,
-batched, sharded, turnstile, count-window and checkpoint-resume modes and
-check each sampler against an independent replay plus enumeration:
+batched, sharded, turnstile, count-window, timestamp-window,
+checkpoint-resume and served-read modes and check each sampler against an
+independent replay plus enumeration:
 
 * the samplers' local ``count_results`` add up to the reference count;
 * each reservoir holds ``min(k, local count)`` distinct real join results;
-* ``shard_of`` sends join-equal partition values to one shard.
+* ``shard_of`` sends join-equal partition values to one shard;
+* a served read (a pickled copy of the ingestor) returns the live
+  reservoir value for value and type for type (``1``, ``1.0`` and ``True``
+  stay distinct).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro import (
     BatchIngestor,
     JoinQuery,
     ReservoirJoin,
+    SampleServer,
     ShardedIngestor,
     StreamDelete,
     StreamTuple,
@@ -195,6 +200,102 @@ def test_checkpoint_resume(case, where):
     resumed.ingest(stream[cut:])
     assert_sampler(resumed.sampler, reference_keys(query, surviving_rows(stream)))
     assert list(resumed.sampler.sample) == list(uninterrupted.sampler.sample)
+
+
+def timestamp_window_reference(
+    stream, window: int, chunk_size: int
+) -> Dict[str, Set[Tuple]]:
+    """Independent replay of timestamp-window semantics: a row's stamp is
+    the newest timestamp it was ever admitted at, the watermark is the
+    newest timestamp seen, and at each chunk boundary every row whose stamp
+    is at or behind ``watermark - window`` leaves the window."""
+    watermark = 0
+    stamps: Dict[Tuple[str, Tuple], int] = {}
+    live: Set[Tuple[str, Tuple]] = set()
+    pending: Dict[Tuple[str, Tuple], int] = {}
+    for start in range(0, len(stream), chunk_size):
+        chunk = stream[start:start + chunk_size]
+        for item in chunk:  # admission precedes the chunk's inserts/deletes
+            if not isinstance(item, StreamDelete):
+                key = (item.relation, item.row)
+                stamps[key] = max(stamps.get(key, item.timestamp), item.timestamp)
+                watermark = max(watermark, item.timestamp)
+        for item in chunk:
+            key = (item.relation, item.row)
+            if isinstance(item, StreamDelete):
+                if key in live:
+                    live.remove(key)
+                else:
+                    pending[key] = pending.get(key, 0) + 1
+            elif pending.get(key):
+                pending[key] -= 1
+            else:
+                live.add(key)
+        for key in [key for key, stamp in stamps.items() if stamp <= watermark - window]:
+            del stamps[key]
+            live.discard(key)
+    grouped: Dict[str, Set[Tuple]] = {}
+    for relation, row in live:
+        grouped.setdefault(relation, set()).add(row)
+    return grouped
+
+
+@settings(max_examples=60, deadline=None)
+@given(CASE, st.lists(st.integers(0, 40), min_size=60, max_size=60))
+def test_timestamp_window(case, times):
+    query_index, ops, chunk_size = case
+    query = QUERIES[query_index]
+    # Out-of-order event times: late rows land at or behind the horizon.
+    stream = [
+        StreamTuple(item.relation, item.row, times[position])
+        if isinstance(item, StreamTuple) else item
+        for position, item in enumerate(build_stream(query, ops))
+    ]
+    window = 12
+    windowed = WindowedSampler(
+        query, K, window=window, rng=random.Random(6), mode="timestamp"
+    )
+    BatchIngestor(windowed, chunk_size=chunk_size).ingest(stream)
+    reference = timestamp_window_reference(stream, window, chunk_size)
+    for relation in query.relation_names:
+        assert set(windowed.index.database[relation].rows) == reference.get(
+            relation, set()
+        )
+    assert_sampler(windowed, reference_keys(query, reference))
+
+
+@settings(max_examples=40, deadline=None)
+@given(CASE, st.booleans())
+def test_served_reads(case, sharded):
+    query_index, ops, chunk_size = case
+    query = QUERIES[query_index]
+    stream = build_stream(query, ops)
+    if sharded:
+        live = ShardedIngestor(
+            query, k=K, num_shards=2, chunk_size=chunk_size, rng=random.Random(7),
+            factory=lambda shard, rng: TurnstileReservoirJoin(query, K, rng=rng),
+        )
+    else:
+        live = BatchIngestor(
+            TurnstileReservoirJoin(query, K, rng=random.Random(7)),
+            chunk_size=chunk_size,
+        )
+    server = SampleServer(live, rng=random.Random(8))
+    for end in range(chunk_size, len(stream) + chunk_size, chunk_size):
+        server.ingest_batch(stream[end - chunk_size:end])
+        snap = server.snapshot()
+        truth = reference_keys(query, surviving_rows(stream[:end]))
+        if sharded:
+            served = snap.sample(rng=random.Random(end))
+            expected = live.merged_sample(rng=random.Random(end))
+            assert len(served) == min(K, len(truth))
+            assert {result_key(result) for result in served} <= truth
+        else:
+            served = snap.sample()
+            expected = list(live.sampler.sample)
+            assert_reservoir(served, len(truth), truth)
+        # repr tells 1, 1.0 and True (and b"x" from "x") apart.
+        assert repr(served) == repr(expected)
 
 
 def test_shard_of_keeps_join_equal_values_together():
